@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import combinatorics, paths, probability, simulator
+from ._validate import check_int
 
 ENV_SEED = "RUINPATHS_SEED"
 
@@ -70,8 +71,7 @@ def parse_range(text: str, name: str, minimum: int) -> range:
         raise CliError(f"bad {name} range {text!r}; expected N or A..B") from None
     if lo > hi:
         raise CliError(f"empty {name} range {text!r} (start exceeds end)")
-    if lo < minimum:
-        raise CliError(f"{name} must be >= {minimum}, got {lo}")
+    check_int(lo, name, minimum)
     return range(lo, hi + 1)
 
 
@@ -149,8 +149,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise CliError(f"k must be >= 1, got {args.k}")
+    check_int(args.k, "k", 1)
     p = parse_probability(args.p)
     method = args.method
     row: dict[str, Any] = {"k": args.k, "p": p, "method": method}
@@ -161,10 +160,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
     elif method == "gf":
         # Start-1 value from the generating function, lifted to k by the
         # power law.
-        try:
-            row["value"] = probability.absorption_via_gf(p) ** args.k
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        row["value"] = probability.absorption_via_gf(p) ** args.k
     elif method == "series":
         if args.tail <= 0:
             raise CliError(f"--tail must be > 0, got {args.tail}")
@@ -183,12 +179,9 @@ def cmd_prob(args: argparse.Namespace) -> int:
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
         seed = resolve_seed(args.seed)
-        try:
-            config = simulator.WalkConfig(
-                k=args.k, p=p, max_steps=args.max_steps, trials=args.trials, seed=seed
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        config = simulator.WalkConfig(
+            k=args.k, p=p, max_steps=args.max_steps, trials=args.trials, seed=seed
+        )
         estimate = simulator.estimate_absorption(config)
         row["value"] = estimate.point
         row["ci_low"] = estimate.ci_low
@@ -205,42 +198,23 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise CliError(f"k must be >= 1, got {args.k}")
+    check_int(args.k, "k", 1)
     if args.max_terms < 0:
         raise CliError(f"--max-terms must be >= 0, got {args.max_terms}")
     p = parse_probability(args.p)
-    q = 1 - p
-    pq = p * q
-    ratio = 4 * pq
-    n0 = probability.tail_start(args.k)
-    k = args.k
-
     rows: list[dict[str, Any]] = []
-    term = q**k
-    total = 0 * q
-    for n in range(args.max_terms + 1):
+    total = 0 * p
+    terms = probability.series_terms(args.k, p)
+    for n, (term, bound) in zip(range(args.max_terms + 1), terms):
         total += term
-        # The geometric bound is only valid from n0 on, and needs r < 1.
-        if ratio < 1 and n >= n0:
-            bound: Any = term * ratio / (1 - ratio)
-        else:
-            bound = "n/a"
-        rows.append({"n": n, "term": term, "partial_sum": total, "tail_bound": bound})
-        term = term * pq * ((2 * n + k) * (2 * n + k + 1)) / ((n + 1) * (n + k + 1))
+        rows.append({"n": n, "term": term, "partial_sum": total,
+                     "tail_bound": "n/a" if bound is None else bound})
     emit(rows, args.format)
     return EXIT_OK
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise CliError(f"k must be >= 1, got {args.k}")
-    if args.n < 0:
-        raise CliError(f"n must be >= 0, got {args.n}")
-    try:
-        found = paths.enumerate_first_passage(args.k, args.n, cap=args.cap)
-    except paths.EnumerationCapError as exc:
-        raise CliError(str(exc)) from None
+    found = paths.enumerate_first_passage(args.k, args.n, cap=args.cap)
     rows = [{"path": paths.path_to_string(p)} for p in found]
     emit(rows, args.format)
     return EXIT_OK
@@ -248,210 +222,37 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# Each identity is a table entry (suite, identity, range label, cells):
+# cells(bounds) lazily yields (failure label, ok) pairs and the row reports
+# the first failure; the range label is a str.format template over the
+# bounds.  Cells look library functions up when they run, so a patched
+# module attribute is what gets checked.
 
-def _result(suite: str, identity: str, tested: str, failure: str | None) -> dict[str, Any]:
-    return {
-        "suite": suite,
-        "identity": identity,
-        "range": tested,
-        "status": "FAIL" if failure else "PASS",
-        "detail": failure or "",
-    }
+Bounds = dict[str, int]
+Cells = Callable[[Bounds], Iterable[tuple[str, bool]]]
 
-
-def _first_failure(pairs: Iterable[tuple[str, bool]]) -> str | None:
-    for label, ok in pairs:
-        if not ok:
-            return label
-    return None
-
-
-def _verify_recurrences(max_k: int, max_n: int, t2_max_n: int) -> list[dict[str, Any]]:
-    out = []
-    out.append(
-        _result(
-            "recurrences",
-            "recurrence equals closed form",
-            f"k=1..{max_k}, n=0..{max_n}",
-            _first_failure(
-                (
-                    f"k={k}, n={n}: "
-                    f"{combinatorics.ballot_via_recurrence(k, n)} != "
-                    f"{combinatorics.ballot_count(k, n)}",
-                    combinatorics.ballot_via_recurrence(k, n)
-                    == combinatorics.ballot_count(k, n),
-                )
-                for k in range(1, max_k + 1)
-                for n in range(max_n + 1)
-            ),
-        )
-    )
-    out.append(
-        _result(
-            "recurrences",
-            "first-return convolution equals catalan",
-            f"n=1..{max_n}",
-            _first_failure(
-                (
-                    f"n={n}",
-                    combinatorics.catalan_via_convolution(n) == combinatorics.catalan(n),
-                )
-                for n in range(1, max_n + 1)
-            ),
-        )
-    )
-    out.append(
-        _result(
-            "recurrences",
-            "start-2 counts equal shifted catalan",
-            f"n=0..{t2_max_n}",
-            _first_failure(
-                (
-                    f"n={n}",
-                    combinatorics.ballot_count(2, n) == combinatorics.catalan(n + 1),
-                )
-                for n in range(t2_max_n + 1)
-            ),
-        )
-    )
-    out.append(
-        _result(
-            "recurrences",
-            "prefactor division is exact",
-            f"k=1..{max_k}, n=0..{max_n}",
-            _first_failure(
-                (
-                    f"k={k}, n={n}",
-                    combinatorics.ballot_count(k, n) * (2 * n + k)
-                    == k * math.comb(2 * n + k, n),
-                )
-                for k in range(1, max_k + 1)
-                for n in range(max_n + 1)
-            ),
-        )
-    )
-    out.append(
-        _result(
-            "recurrences",
-            "counts strictly increase in n",
-            f"k=1..{max_k}, n=1..{max_n}",
-            _first_failure(
-                (
-                    f"k={k}, n={n}",
-                    combinatorics.ballot_count(k, n + 1) > combinatorics.ballot_count(k, n),
-                )
-                for k in range(1, max_k + 1)
-                for n in range(1, max_n + 1)
-            ),
-        )
-    )
-    return out
-
-
-def _verify_oracle(max_k: int, max_len: int, cap: int) -> list[dict[str, Any]]:
-    if max_len > cap:
-        raise CliError(f"--max-len {max_len} exceeds enumeration cap {cap}")
-    failures: list[str] = []
-    for k in range(1, max_k + 1):
-        for n in range((max_len - k) // 2 + 1):
-            found = paths.enumerate_first_passage(k, n, cap=cap)
-            expected = combinatorics.ballot_count(k, n)
-            serialized = paths.serialize_all(found)
-            if len(found) != expected:
-                failures.append(f"k={k}, n={n}: {len(found)} paths != C_k(n)={expected}")
-            elif len(set(serialized)) != len(found):
-                failures.append(f"k={k}, n={n}: duplicate paths emitted")
-            elif serialized != sorted(serialized):
-                failures.append(f"k={k}, n={n}: canonical order violated")
-            if failures:
-                break
-        if failures:
-            break
-    return [
-        _result(
-            "oracle",
-            "enumeration count equals ballot count",
-            f"k=1..{max_k}, 2n+k<={max_len}",
-            failures[0] if failures else None,
-        )
-    ]
-
-
-def _verify_bijections(max_n: int, max_len: int, cap: int) -> list[dict[str, Any]]:
-    if max_len > cap:
-        raise CliError(f"--max-len {max_len} exceeds enumeration cap {cap}")
-    out = []
-
-    def shift_ok(n: int) -> bool:
-        source = paths.enumerate_first_passage(1, n + 1, cap=cap)
-        image = [paths.shift_bijection_k2(p) for p in source]
-        target = paths.enumerate_first_passage(2, n, cap=cap)
-        round_trip = all(
-            paths.LatticePath(1, (paths.Step.RIGHT,) + q.steps) == p
-            for p, q in zip(source, image)
-        )
-        return round_trip and set(paths.serialize_all(image)) == set(
-            paths.serialize_all(target)
-        )
-
-    out.append(
-        _result(
-            "bijections",
-            "strip-first-step maps start 1 onto start 2",
-            f"n=0..{max_n}",
-            _first_failure((f"n={n}", shift_ok(n)) for n in range(max_n + 1)),
-        )
-    )
-
-    def first_return_ok(n: int) -> bool:
-        source = paths.enumerate_first_passage(1, n, cap=cap)
-        rebuilt = []
-        for p in source:
-            alpha, left, right = paths.first_return_decompose(p)
-            if not 1 <= alpha <= n:
-                return False
-            if left.right_steps() + right.right_steps() + 1 != n:
-                return False
-            if paths.first_return_compose(alpha, left, right) != p:
-                return False
-            rebuilt.append(paths.path_to_string(p))
-        return sorted(rebuilt) == sorted(paths.serialize_all(source))
-
-    out.append(
-        _result(
-            "bijections",
-            "first-return decompose/compose round-trip",
-            f"n=1..{max_n}",
-            _first_failure((f"n={n}", first_return_ok(n)) for n in range(1, max_n + 1)),
-        )
-    )
-
-    def partition_ok(k: int, n: int) -> bool:
-        to_k, to_k_minus_2 = paths.partition_by_first_step(k, n, cap=cap)
-        target_k = paths.enumerate_first_passage(k, n, cap=cap)
-        target_k2 = paths.enumerate_first_passage(k - 2, n + 1, cap=cap)
-        return set(paths.serialize_all(to_k)) == set(
-            paths.serialize_all(target_k)
-        ) and set(paths.serialize_all(to_k_minus_2)) == set(
-            paths.serialize_all(target_k2)
-        )
-
-    cases = [
-        (k, n)
-        for k in range(3, 6)
-        for n in range((max_len - (k - 1)) // 2)
-        if 2 * (n + 1) + (k - 1) <= max_len
-    ]
-    out.append(
-        _result(
-            "bijections",
-            "partition by first step splits the level-(k-1) paths",
-            f"k=3..5, 2(n+1)+(k-1)<={max_len}",
-            _first_failure((f"k={k}, n={n}", partition_ok(k, n)) for k, n in cases),
-        )
-    )
-    return out
-
+# suite -> (bound defaults when the flag is absent, least bounds that still
+# test anything, the error when a bound is below them).  The start-2
+# identity reads --max-n too but defaults further out.
+SUITES: dict[str, tuple[Bounds, Bounds, str]] = {
+    "recurrences": (
+        {"max_k": 50, "max_n": 200, "t2_max_n": 500},
+        {"max_k": 1, "max_n": 1},
+        "recurrence bounds must be >= 1",
+    ),
+    "bijections": (
+        {"max_n": 8, "max_len": 20},
+        {"max_n": 1, "max_len": 4},
+        "bijection bounds too small to test anything",
+    ),
+    "oracle": (
+        {"max_k": 6, "max_len": 18},
+        {"max_k": 1, "max_len": 1},
+        "oracle bounds must be >= 1",
+    ),
+    "probability": ({}, {}, ""),
+}
 
 _RATIONAL_GRID = (
     Fraction(1, 10),
@@ -465,151 +266,193 @@ _RATIONAL_GRID = (
 _FLOAT_GRID = (0.1, 0.3, 0.5, 0.6, 0.9)
 
 
-def _verify_probability() -> list[dict[str, Any]]:
-    out = []
-    out.append(
-        _result(
-            "probability",
-            "closed form: 1 below 1/2, power law above",
-            "k<=64, rational grid",
-            _first_failure(
-                (
-                    f"k={k}, p={p}",
-                    probability.absorption_exact(k, p)
-                    == probability.absorption_exact(1, p) ** k,
-                )
-                for p in _RATIONAL_GRID
-                for k in range(1, 65)
-            ),
-        )
-    )
-    out.append(
-        _result(
-            "probability",
-            "generating function solves its quadratic",
-            "z in {0, 0.01, 0.1, 0.2, 0.25}",
-            _first_failure(
-                (
-                    f"z={z}",
-                    abs(
-                        probability.generating_function(z) ** 2
-                        - probability.generating_function(z)
-                        + z
-                    )
-                    <= 1e-14,
-                )
-                for z in (0.0, 0.01, 0.1, 0.2, 0.25)
-            ),
-        )
-    )
-    route_checks = [
-        (
-            f"p={p}",
-            abs(probability.absorption_via_gf(p) - probability.absorption_exact(1, p))
-            <= 1e-12,
-        )
-        for p in _FLOAT_GRID
-    ] + [
-        (
-            f"p={p}",
-            probability.absorption_via_gf(p) == probability.absorption_exact(1, p),
-        )
-        for p in _RATIONAL_GRID
-    ]
-    out.append(
-        _result(
-            "probability",
-            "generating-function route matches closed form",
-            "float grid within 1e-12; rational grid exactly",
-            _first_failure(route_checks),
-        )
-    )
-    out.append(
-        _result(
-            "probability",
-            "three-term recurrence",
-            "k<=32, rational and float grids",
-            _first_failure(
-                [
-                    (f"k={k}, p={p}", probability.verify_three_term(k, p))
-                    for p in _RATIONAL_GRID
-                    if 0 < p < 1
-                    for k in range(1, 33)
-                ]
-                + [
-                    (f"k={k}, p={p}", probability.verify_three_term(k, p))
-                    for p in _FLOAT_GRID
-                    if 0 < p < 1
-                    for k in range(1, 33)
-                ]
-            ),
-        )
+def _grid(
+    b: Bounds, n_from: int, check: Callable[[int, int], bool]
+) -> Iterable[tuple[str, bool]]:
+    return (
+        (f"k={k}, n={n}", check(k, n))
+        for k in range(1, b["max_k"] + 1)
+        for n in range(n_from, b["max_n"] + 1)
     )
 
-    def series_ok(k: int, p: Fraction) -> bool:
-        result = probability.absorption_series(k, p, 1e-12)
-        exact = probability.absorption_exact(k, p)
-        return (
-            result.converged
-            and result.terms_used >= probability.tail_start(k) + 1
-            and result.tail_bound <= 1e-12
-            and result.partial_sum <= exact <= result.partial_sum + result.tail_bound
+
+def _recurrence_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
+    for k in range(1, b["max_k"] + 1):
+        for n in range(b["max_n"] + 1):
+            got = combinatorics.ballot_via_recurrence(k, n)
+            want = combinatorics.ballot_count(k, n)
+            yield f"k={k}, n={n}: {got} != {want}", got == want
+
+
+def _oracle_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
+    for k in range(1, b["max_k"] + 1):
+        for n in range((b["max_len"] - k) // 2 + 1):
+            found = paths.enumerate_first_passage(k, n, cap=b["cap"])
+            expected = combinatorics.ballot_count(k, n)
+            serialized = paths.serialize_all(found)
+            cell = f"k={k}, n={n}"
+            yield f"{cell}: {len(found)} paths != C_k(n)={expected}", len(found) == expected
+            yield f"{cell}: duplicate paths emitted", len(set(serialized)) == len(found)
+            yield f"{cell}: canonical order violated", serialized == sorted(serialized)
+
+
+def _shift_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
+    for n in range(b["max_n"] + 1):
+        source = paths.enumerate_first_passage(1, n + 1, cap=b["cap"])
+        image = [paths.shift_bijection_k2(p) for p in source]
+        target = paths.enumerate_first_passage(2, n, cap=b["cap"])
+        round_trip = all(
+            paths.LatticePath(1, (paths.Step.RIGHT,) + q.steps) == p
+            for p, q in zip(source, image)
+        )
+        yield f"n={n}", round_trip and set(paths.serialize_all(image)) == set(
+            paths.serialize_all(target)
         )
 
-    out.append(
-        _result(
-            "probability",
-            "series brackets the closed form",
-            "k<=5, rational p away from 1/2, tail 1e-12",
-            _first_failure(
-                (f"k={k}, p={p}", series_ok(k, p))
-                for p in _RATIONAL_GRID
-                if abs(p - Fraction(1, 2)) >= Fraction(1, 20)
-                for k in range(1, 6)
-            ),
-        )
+
+def _first_return_ok(n: int, cap: int) -> bool:
+    for p in paths.enumerate_first_passage(1, n, cap=cap):
+        alpha, left, right = paths.first_return_decompose(p)
+        if not 1 <= alpha <= n:
+            return False
+        if left.right_steps() + right.right_steps() + 1 != n:
+            return False
+        if paths.first_return_compose(alpha, left, right) != p:
+            return False
+    return True
+
+
+def _partition_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
+    cap = b["cap"]
+    for k in range(3, 6):
+        for n in range((b["max_len"] - (k - 1)) // 2):
+            to_k, to_k_minus_2 = paths.partition_by_first_step(k, n, cap=cap)
+            target_k = paths.enumerate_first_passage(k, n, cap=cap)
+            target_k2 = paths.enumerate_first_passage(k - 2, n + 1, cap=cap)
+            yield f"k={k}, n={n}", set(paths.serialize_all(to_k)) == set(
+                paths.serialize_all(target_k)
+            ) and set(paths.serialize_all(to_k_minus_2)) == set(
+                paths.serialize_all(target_k2)
+            )
+
+
+def _series_ok(k: int, p: Fraction) -> bool:
+    result = probability.absorption_series(k, p, 1e-12)
+    exact = probability.absorption_exact(k, p)
+    return (
+        result.converged
+        and result.terms_used >= probability.tail_start(k) + 1
+        and result.tail_bound <= 1e-12
+        and result.partial_sum <= exact <= result.partial_sum + result.tail_bound
     )
+
+
+def _near_critical_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
     near = probability.absorption_series(2, Fraction(1, 2), 1e-12, max_terms=2000)
-    out.append(
-        _result(
-            "probability",
-            "near-critical series reports an honest lower bound",
-            "k=2, p=1/2, 2000 terms",
-            None
-            if (not near.converged and near.partial_sum < 1 and math.isinf(near.tail_bound))
-            else "expected converged=false with partial_sum < 1",
-        )
+    yield "expected converged=false with partial_sum < 1", (
+        not near.converged and near.partial_sum < 1 and math.isinf(near.tail_bound)
     )
-    return out
+
+
+def _route_ok(p: probability.StepProbability) -> bool:
+    via_gf = probability.absorption_via_gf(p)
+    exact = probability.absorption_exact(1, p)
+    return abs(via_gf - exact) <= 1e-12 if isinstance(p, float) else via_gf == exact
+
+
+def _quadratic_ok(z: float) -> bool:
+    f = probability.generating_function(z)
+    return abs(f**2 - f + z) <= 1e-14
+
+
+IDENTITIES: tuple[tuple[str, str, str, Cells], ...] = (
+    ("recurrences", "recurrence equals closed form", "k=1..{max_k}, n=0..{max_n}",
+     _recurrence_cells),
+    ("recurrences", "first-return convolution equals catalan", "n=1..{max_n}",
+     lambda b: (
+         (f"n={n}", combinatorics.catalan_via_convolution(n) == combinatorics.catalan(n))
+         for n in range(1, b["max_n"] + 1)
+     )),
+    ("recurrences", "start-2 counts equal shifted catalan", "n=0..{t2_max_n}",
+     lambda b: (
+         (f"n={n}", combinatorics.ballot_count(2, n) == combinatorics.catalan(n + 1))
+         for n in range(b["t2_max_n"] + 1)
+     )),
+    ("recurrences", "prefactor division is exact", "k=1..{max_k}, n=0..{max_n}",
+     lambda b: _grid(b, 0, lambda k, n: combinatorics.ballot_count(k, n) * (2 * n + k)
+                     == k * math.comb(2 * n + k, n))),
+    ("recurrences", "counts strictly increase in n", "k=1..{max_k}, n=1..{max_n}",
+     lambda b: _grid(b, 1, lambda k, n: combinatorics.ballot_count(k, n + 1)
+                     > combinatorics.ballot_count(k, n))),
+    ("bijections", "strip-first-step maps start 1 onto start 2", "n=0..{max_n}",
+     _shift_cells),
+    ("bijections", "first-return decompose/compose round-trip", "n=1..{max_n}",
+     lambda b: ((f"n={n}", _first_return_ok(n, b["cap"])) for n in range(1, b["max_n"] + 1))),
+    ("bijections", "partition by first step splits the level-(k-1) paths",
+     "k=3..5, 2(n+1)+(k-1)<={max_len}", _partition_cells),
+    ("oracle", "enumeration count equals ballot count", "k=1..{max_k}, 2n+k<={max_len}",
+     _oracle_cells),
+    ("probability", "closed form: 1 below 1/2, power law above", "k<=64, rational grid",
+     lambda b: (
+         (f"k={k}, p={p}",
+          probability.absorption_exact(k, p) == probability.absorption_exact(1, p) ** k)
+         for p in _RATIONAL_GRID
+         for k in range(1, 65)
+     )),
+    ("probability", "generating function solves its quadratic",
+     "z in {{0, 0.01, 0.1, 0.2, 0.25}}",
+     lambda b: ((f"z={z}", _quadratic_ok(z)) for z in (0.0, 0.01, 0.1, 0.2, 0.25))),
+    ("probability", "generating-function route matches closed form",
+     "float grid within 1e-12; rational grid exactly",
+     lambda b: ((f"p={p}", _route_ok(p)) for p in _FLOAT_GRID + _RATIONAL_GRID)),
+    ("probability", "three-term recurrence", "k<=32, rational and float grids",
+     lambda b: (
+         (f"k={k}, p={p}", probability.verify_three_term(k, p))
+         for p in _RATIONAL_GRID + _FLOAT_GRID
+         if 0 < p < 1
+         for k in range(1, 33)
+     )),
+    ("probability", "series brackets the closed form",
+     "k<=5, rational p away from 1/2, tail 1e-12",
+     lambda b: (
+         (f"k={k}, p={p}", _series_ok(k, p))
+         for p in _RATIONAL_GRID
+         if abs(p - Fraction(1, 2)) >= Fraction(1, 20)
+         for k in range(1, 6)
+     )),
+    ("probability", "near-critical series reports an honest lower bound",
+     "k=2, p=1/2, 2000 terms", _near_critical_cells),
+)
+
+
+def _suite_bounds(suite: str, args: argparse.Namespace) -> Bounds:
+    """The suite's bounds: flags where given, else its defaults, checked."""
+    defaults, least, too_small = SUITES[suite]
+    flags = {"max_k": args.max_k, "max_n": args.max_n, "t2_max_n": args.max_n,
+             "max_len": args.max_len}
+    bounds = {name: default if flags[name] is None else flags[name]
+              for name, default in defaults.items()}
+    if any(bounds[name] < value for name, value in least.items()):
+        raise CliError(too_small)
+    if bounds.get("max_len", 0) > args.cap:
+        raise CliError(f"--max-len {bounds['max_len']} exceeds enumeration cap {args.cap}")
+    return {**bounds, "cap": args.cap}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = args.cap
-    suites = ("recurrences", "bijections", "oracle", "probability")
-    chosen = suites if args.suite == "all" else (args.suite,)
     rows: list[dict[str, Any]] = []
-    for suite in chosen:
-        if suite == "recurrences":
-            max_k = args.max_k if args.max_k is not None else 50
-            max_n = args.max_n if args.max_n is not None else 200
-            t2_max_n = args.max_n if args.max_n is not None else 500
-            if max_k < 1 or max_n < 1:
-                raise CliError("recurrence bounds must be >= 1")
-            rows.extend(_verify_recurrences(max_k, max_n, t2_max_n))
-        elif suite == "oracle":
-            max_k = args.max_k if args.max_k is not None else 6
-            max_len = args.max_len if args.max_len is not None else 18
-            if max_k < 1 or max_len < 1:
-                raise CliError("oracle bounds must be >= 1")
-            rows.extend(_verify_oracle(max_k, max_len, cap))
-        elif suite == "bijections":
-            max_n = args.max_n if args.max_n is not None else 8
-            max_len = args.max_len if args.max_len is not None else 20
-            if max_n < 1 or max_len < 4:
-                raise CliError("bijection bounds too small to test anything")
-            rows.extend(_verify_bijections(max_n, max_len, cap))
-        else:
-            rows.extend(_verify_probability())
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        bounds = _suite_bounds(suite, args)
+        for entry_suite, identity, tested, cells in IDENTITIES:
+            if entry_suite == suite:
+                failure = next((label for label, ok in cells(bounds) if not ok), "")
+                rows.append({
+                    "suite": suite,
+                    "identity": identity,
+                    "range": tested.format(**bounds),
+                    "status": "FAIL" if failure else "PASS",
+                    "detail": failure,
+                })
     emit(rows, args.format)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:
@@ -623,6 +466,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Flags that several subcommands take, each defined once; simulate takes
+# prob's simulation flags.
+ARGS: dict[str, dict[str, Any]] = {
+    "--k": dict(type=int, required=True, help="start position"),
+    "--p": dict(required=True, help='right-step probability, decimal or "num/den"'),
+    "--trials": dict(type=int, default=10_000, help="simulation trials"),
+    "--max-steps": dict(type=int, default=100_000, help="simulation censoring horizon"),
+    "--seed": dict(type=int, default=None, help="simulation seed"),
+    "--cap": dict(
+        type=int, default=paths.DEFAULT_ENUMERATION_CAP, help="enumeration cap override"
+    ),
+    "--format": dict(choices=FORMATS, default="table", help="output format"),
+}
+
+
+def _add(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **ARGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruinpaths",
@@ -635,20 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=FORMATS, default="table", help="output format"
-        )
-
     p_count = sub.add_parser("count", help="exact path-count table C_k(n)")
     p_count.add_argument("--k", required=True, help="start positions, N or A..B")
     p_count.add_argument("--n", required=True, help="right-step counts, N or A..B")
-    add_format(p_count)
+    _add(p_count, "--format")
     p_count.set_defaults(handler=cmd_count)
 
     p_prob = sub.add_parser("prob", help="absorption probability from start k")
-    p_prob.add_argument("--k", type=int, required=True, help="start position")
-    p_prob.add_argument("--p", required=True, help='right-step probability, decimal or "num/den"')
+    _add(p_prob, "--k", "--p")
     p_prob.add_argument(
         "--method",
         choices=("exact", "series", "gf", "simulate"),
@@ -662,39 +519,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=probability.DEFAULT_MAX_TERMS,
         help="series term budget",
     )
-    p_prob.add_argument("--trials", type=int, default=10_000, help="simulation trials")
-    p_prob.add_argument(
-        "--max-steps", type=int, default=100_000, help="simulation censoring horizon"
-    )
-    p_prob.add_argument("--seed", type=int, default=None, help="simulation seed")
-    add_format(p_prob)
+    _add(p_prob, "--trials", "--max-steps", "--seed", "--format")
     p_prob.set_defaults(handler=cmd_prob)
 
     p_sim = sub.add_parser("simulate", help="shorthand for prob --method simulate")
-    p_sim.add_argument("--k", type=int, required=True, help="start position")
-    p_sim.add_argument("--p", required=True, help='right-step probability, decimal or "num/den"')
-    p_sim.add_argument("--trials", type=int, default=10_000, help="simulation trials")
-    p_sim.add_argument(
-        "--max-steps", type=int, default=100_000, help="censoring horizon"
-    )
-    p_sim.add_argument("--seed", type=int, default=None, help="simulation seed")
-    add_format(p_sim)
+    _add(p_sim, "--k", "--p", "--trials", "--max-steps", "--seed", "--format")
     p_sim.set_defaults(handler=cmd_prob, method="simulate")
 
     p_conv = sub.add_parser("converge", help="per-term series trace")
-    p_conv.add_argument("--k", type=int, required=True, help="start position")
-    p_conv.add_argument("--p", required=True, help='right-step probability, decimal or "num/den"')
+    _add(p_conv, "--k", "--p")
     p_conv.add_argument(
         "--max-terms", type=int, default=20, help="last term index n to print"
     )
-    add_format(p_conv)
+    _add(p_conv, "--format")
     p_conv.set_defaults(handler=cmd_converge)
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
     p_verify.add_argument(
         "suite",
         nargs="?",
-        choices=("all", "recurrences", "bijections", "oracle", "probability"),
+        choices=("all", *SUITES),
         default="all",
         help="which suite to run",
     )
@@ -718,27 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="path-length bound 2n+k (default 18 for oracle, 20 for the "
         "partition bijection)",
     )
-    p_verify.add_argument(
-        "--cap",
-        type=int,
-        default=paths.DEFAULT_ENUMERATION_CAP,
-        help="enumeration cap override",
-    )
-    add_format(p_verify)
+    _add(p_verify, "--cap", "--format")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_dump = sub.add_parser(
         "dump", help="canonical serializations of the enumerated paths"
     )
-    p_dump.add_argument("--k", type=int, required=True, help="start position")
+    _add(p_dump, "--k")
     p_dump.add_argument("--n", type=int, required=True, help="right-step count")
-    p_dump.add_argument(
-        "--cap",
-        type=int,
-        default=paths.DEFAULT_ENUMERATION_CAP,
-        help="enumeration cap override",
-    )
-    add_format(p_dump)
+    _add(p_dump, "--cap", "--format")
     p_dump.set_defaults(handler=cmd_dump)
 
     return parser
@@ -750,10 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = args.handler
     try:
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, paths.EnumerationCapError) as exc:
+    except (CliError, ValueError) as exc:  # EnumerationCapError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

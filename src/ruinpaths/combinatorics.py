@@ -10,24 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from ._validate import check_int
+
 # Arbitrary-precision nonnegative count.  Plain int already gives exactness
 # at any magnitude, so no wrapper type is needed.
 BallotCount = int
-
-
-def _check_index(n: int, name: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
-
-
-def _check_start(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
-    if k < 1:
-        # k = 0 means the walk is already absorbed; the count is undefined.
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +24,7 @@ def catalan(n: int) -> BallotCount:
     Cached in a grow-only table; safe for concurrent readers because
     entries are only ever inserted, never mutated.
     """
-    _check_index(n)
+    check_int(n, "n", 0)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -48,8 +35,9 @@ def ballot_count(k: int, n: int) -> BallotCount:
     (the cycle-lemma argument guarantees it), so integer division loses
     nothing.
     """
-    _check_start(k)
-    _check_index(n)
+    # k = 0 means the walk is already absorbed; the count is undefined.
+    check_int(k, "k", 1)
+    check_int(n, "n", 0)
     return k * comb(2 * n + k, n) // (2 * n + k)
 
 
@@ -59,19 +47,14 @@ def catalan_via_convolution(n: int) -> BallotCount:
     Rejects n = 0: the sum is empty there while C(0) = 1, and silently
     returning 1 would hide misuse.
     """
-    _check_index(n)
+    check_int(n, "n", 0)
     if n == 0:
         raise ValueError("convolution identity starts at n = 1; the n = 0 sum is empty")
     return sum(catalan(a - 1) * catalan(n - a) for a in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _ballot_recursive(k: int, n: int) -> BallotCount:
-    if k == 1:
-        return catalan(n)
-    if k == 2:
-        return catalan(n + 1)
-    return _ballot_recursive(k - 1, n + 1) - _ballot_recursive(k - 2, n + 1)
+# Grow-only memo of C_k(n), keyed (k, n).
+_RECURRENCE_MEMO: dict[tuple[int, int], BallotCount] = {}
 
 
 def ballot_via_recurrence(k: int, n: int) -> BallotCount:
@@ -79,7 +62,23 @@ def ballot_via_recurrence(k: int, n: int) -> BallotCount:
 
     Base cases C_1(n) = C(n) and C_2(n) = C(n+1); for k >= 3 use
     C_k(n) = C_{k-1}(n+1) - C_{k-2}(n+1).  Must agree with ballot_count.
+    Missing cells are filled into a memo in dependency order from an
+    explicit stack, so no start position is too deep for the call stack.
     """
-    _check_start(k)
-    _check_index(n)
-    return _ballot_recursive(k, n)
+    check_int(k, "k", 1)
+    check_int(n, "n", 0)
+    memo = _RECURRENCE_MEMO
+    pending = [(k, n)]
+    while pending:
+        j, m = cell = pending[-1]
+        if cell in memo:
+            pending.pop()
+        elif j <= 2:
+            memo[cell] = catalan(m + j - 1)
+        else:
+            below = [c for c in ((j - 1, m + 1), (j - 2, m + 1)) if c not in memo]
+            if below:
+                pending += below
+            else:
+                memo[cell] = memo[j - 1, m + 1] - memo[j - 2, m + 1]
+    return memo[k, n]

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from ._validate import check_int
+
 DEFAULT_ENUMERATION_CAP = 26
 
 
@@ -47,7 +49,9 @@ def _walk_is_first_passage(start: int, steps: Sequence[Step]) -> bool:
 
 def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
     """True iff (start, steps) is a complete absorbed trajectory."""
-    if not isinstance(start, int) or isinstance(start, bool) or start < 1:
+    try:
+        check_int(start, "start", 1)
+    except (TypeError, ValueError):
         return False
     return _walk_is_first_passage(start, steps)
 
@@ -65,8 +69,7 @@ class LatticePath:
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.start, int) or isinstance(self.start, bool) or self.start < 1:
-            raise ValueError(f"start must be a positive integer, got {self.start!r}")
+        check_int(self.start, "start", 1)
         object.__setattr__(self, "steps", tuple(self.steps))
         if not _walk_is_first_passage(self.start, self.steps):
             raise ValueError(
@@ -113,10 +116,8 @@ def enumerate_first_passage(
     remaining sits at position l - r, so feasibility is maintained by
     construction and only the positivity prune is needed.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_int(k, "k", 1)
+    check_int(n, "n", 0)
     length = 2 * n + k
     if length > cap:
         raise EnumerationCapError(
@@ -210,8 +211,8 @@ def partition_by_first_step(
     n+1 rights.  Cardinalities realize
     C_{k-1}(n+1) = C_k(n) + C_{k-2}(n+1).
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise ValueError(f"partition requires k >= 3, got {k}")
+    check_int(k, "k", 3)
+    check_int(n, "n", 0)
     to_k: list[LatticePath] = []
     to_k_minus_2: list[LatticePath] = []
     for path in enumerate_first_passage(k - 1, n + 1, cap=cap):

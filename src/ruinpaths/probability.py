@@ -6,8 +6,10 @@ tail bound, and through the generating function F(z) = (1 - sqrt(1-4z))/2.
 The routes share no code, which is what makes their agreement a real check.
 
 Probabilities are either exact `fractions.Fraction` values or floats, and
-the representation is preserved end to end: exact in, exact out.  Exact
-values never silently degrade to floating point.
+the representation is preserved end to end: exact in, exact out.  The one
+float fallback is generating_function at a Fraction z whose 1 - 4z is not a
+perfect rational square; on the absorption route z = p - p^2, where
+1 - 4z = (1-2p)^2 always is one, so absorption values stay exact.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Union
+from typing import Iterator, Protocol, Union
+
+from ._validate import check_int
 
 StepProbability = Union[Fraction, float]
 
@@ -46,18 +50,13 @@ def _check_probability(p: StepProbability, name: str = "p") -> StepProbability:
     return p
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-
-
 def absorption_exact(k: int, p: StepProbability) -> StepProbability:
     """Closed-form absorption probability: 1 for p <= 1/2, else ((1-p)/p)^k.
 
     Exact when p is a Fraction; the start position only enters as the
     exponent (the k = 1 probability raised to the k-th power).
     """
-    _check_k(k)
+    check_int(k, "k", 1)
     p = _check_probability(p)
     if 2 * p <= 1:
         return Fraction(1) if isinstance(p, Fraction) else 1.0
@@ -70,7 +69,7 @@ def tail_start(k: int) -> int:
     The term ratio stays below 4p(1-p) only once 2n + 2 + k - k^2 >= 0,
     i.e. from n0 = max(0, ceil((k^2 - k - 2)/2)).
     """
-    _check_k(k)
+    check_int(k, "k", 1)
     return max(0, -(-(k * k - k - 2) // 2))
 
 
@@ -132,6 +131,40 @@ class SeriesEvaluation:
     converged: bool
 
 
+def series_terms(
+    k: int, p: StepProbability, delta: float = NEAR_CRITICAL_DELTA
+) -> Iterator[tuple[StepProbability, StepProbability | None]]:
+    """The terms t_0, t_1, ... of sum_n C_k(n) p^n (1-p)^(n+k), without end,
+    each paired with its certified bound on the tail after it, or None.
+
+    Terms are built incrementally from the exact ratio
+    t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
+    arithmetic as p.  The bound t_n r/(1-r), r = 4p(1-p), holds only from
+    tail_start(k) on, so it is None before that; it is None throughout when
+    r >= 1 - delta, since there is no useful geometric bound there (terms
+    decay like n^(-3/2) near p = 1/2).
+    """
+    check_int(k, "k", 1)
+    p = _check_probability(p)
+    if not 0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    q = 1 - p
+    pq = p * q
+    ratio = 4 * pq
+    certifiable = ratio < 1 - delta
+    n0 = tail_start(k)
+
+    def terms() -> Iterator[tuple[StepProbability, StepProbability | None]]:
+        term = q**k
+        n = 0
+        while True:
+            yield term, term * ratio / (1 - ratio) if certifiable and n >= n0 else None
+            term = term * pq * ((2 * n + k) * (2 * n + k + 1)) / ((n + 1) * (n + k + 1))
+            n += 1
+
+    return terms()
+
+
 def absorption_series(
     k: int,
     p: StepProbability,
@@ -144,46 +177,25 @@ def absorption_series(
     """Sum the counting series sum_n C_k(n) p^n (1-p)^(n+k) with a
     certified stopping rule.
 
-    Terms are built incrementally from the exact ratio
-    t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
-    arithmetic as p.  The run stops at the first n >= tail_start(k) where
-    the geometric bound t_n r/(1-r), r = 4p(1-p), is at most target_tail;
-    the bound is only valid from tail_start(k) on, so it is never applied
-    earlier.  If r >= 1 - delta there is no useful geometric bound (terms
-    decay like n^(-3/2) near p = 1/2): the sum runs to max_terms and is
+    The terms and their tail bounds come from series_terms.  The run stops
+    at the first n whose bound is at most target_tail.  Where no bound is
+    available (4p(1-p) >= 1 - delta) the sum runs to max_terms and is
     reported as a certified lower bound with converged = False and an
     infinite tail_bound.  Cancellation is checked between terms.
     """
-    _check_k(k)
-    p = _check_probability(p)
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
-    if not isinstance(max_terms, int) or max_terms < 1:
-        raise ValueError(f"max_terms must be a positive integer, got {max_terms}")
-    if not 0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-
-    q = 1 - p
-    pq = p * q
-    ratio = 4 * pq
-    certifiable = ratio < 1 - delta
-    n0 = tail_start(k)
-
-    term = q**k
-    total = 0 * q
-    n = 0
-    while True:
+    check_int(max_terms, "max_terms", 1)
+    terms = series_terms(k, p, delta)
+    total = 0 * p
+    for n, (term, bound) in enumerate(terms):
         if cancel is not None and cancel.is_set():
             raise SeriesCancelled(f"cancelled after {n} terms")
         total += term
-        if certifiable and n >= n0:
-            bound = term * ratio / (1 - ratio)
-            if bound <= target_tail:
-                return SeriesEvaluation(total, n + 1, bound, True)
+        if bound is not None and bound <= target_tail:
+            return SeriesEvaluation(total, n + 1, bound, True)
         if n + 1 >= max_terms:
             return SeriesEvaluation(total, n + 1, math.inf, False)
-        term = term * pq * ((2 * n + k) * (2 * n + k + 1)) / ((n + 1) * (n + k + 1))
-        n += 1
 
 
 def verify_three_term(k: int, p: StepProbability) -> bool:
@@ -193,7 +205,7 @@ def verify_three_term(k: int, p: StepProbability) -> bool:
     p = 0 and p = 1 are rejected (division by p; both ends are degenerate
     and covered by the closed form directly).
     """
-    _check_k(k)
+    check_int(k, "k", 1)
     p = _check_probability(p)
     if p == 0 or p == 1:
         raise ValueError("the recurrence needs 0 < p < 1")

@@ -28,12 +28,22 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._validate import check_int
 from .probability import StepProbability
 
 _CHUNK = 128
 _BLOCK_THRESHOLD = 64
 _STEP_NUMBERS = np.arange(1, _CHUNK + 1)
 _Z95 = 1.959963984540054
+
+
+def _check_walk(k: int, p: StepProbability, max_steps: int) -> None:
+    check_int(k, "k", 1)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not isinstance(max_steps, int) or max_steps < k:
+        # Absorption takes at least k steps; a smaller horizon is vacuous.
+        raise ValueError(f"max_steps must be an integer >= k = {k}, got {max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -48,17 +58,8 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not isinstance(self.max_steps, int) or self.max_steps < self.k:
-            # Absorption takes at least k steps; a smaller horizon is vacuous.
-            raise ValueError(
-                f"max_steps must be an integer >= k = {self.k}, got {self.max_steps!r}"
-            )
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        _check_walk(self.k, self.p, self.max_steps)
+        check_int(self.trials, "trials", 1)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -88,12 +89,7 @@ def run_walk(
     chunked and blocked drawing is an exact acceleration (see the module
     docstring for the argument).
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not isinstance(max_steps, int) or max_steps < k:
-        raise ValueError(f"max_steps must be an integer >= k, got {max_steps!r}")
+    _check_walk(k, p, max_steps)
     p = float(p)
 
     pos = k

@@ -91,7 +91,8 @@ def test_convolution_rejects_empty_sum():
         catalan_via_convolution(0)
 
 
-@pytest.mark.parametrize("k, n, expected", [(2, 3, 14), (3, 0, 1), (4, 2, 14)])
+# k = 1100 chains more rows than the default recursion limit allows frames.
+@pytest.mark.parametrize("k, n, expected", [(2, 3, 14), (3, 0, 1), (4, 2, 14), (1100, 0, 1)])
 def test_recurrence_known_values(k, n, expected):
     assert ballot_via_recurrence(k, n) == expected
 
