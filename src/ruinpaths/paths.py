@@ -8,8 +8,8 @@ and hits 0 exactly at the final step.  With n right steps the length is
 2n + k.
 
 The enumerator is the independent oracle the counting identities are checked
-against: it finds every admissible step sequence by backtracking, with no
-reference to the closed-form counts.
+against: it finds every admissible step sequence by a depth-first search,
+with no reference to the closed-form counts.
 """
 
 from __future__ import annotations
@@ -31,20 +31,22 @@ class Step(Enum):
     RIGHT = "R"
     LEFT = "L"
 
-    @property
-    def delta(self) -> int:
-        return 1 if self is Step.RIGHT else -1
+    def __init__(self, symbol: str) -> None:
+        # Member data, not a property: every path walk reads it per step.
+        self.delta = 1 if symbol == "R" else -1
 
 
 def _walk_is_first_passage(start: int, steps: Sequence[Step]) -> bool:
-    # Positive at every proper prefix, zero exactly at the end.
+    # Positive before every step, zero after the last; a non-Step has no delta.
     pos = start
-    last = len(steps) - 1
-    for i, s in enumerate(steps):
-        pos += s.delta
-        if pos <= 0:
-            return pos == 0 and i == last
-    return False
+    try:
+        for s in steps:
+            if pos <= 0:
+                return False
+            pos += s.delta
+    except AttributeError:
+        return False
+    return pos == 0
 
 
 def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
@@ -72,6 +74,8 @@ class LatticePath:
         check_int(self.start, "start", 1)
         object.__setattr__(self, "steps", tuple(self.steps))
         if not _walk_is_first_passage(self.start, self.steps):
+            if not all(isinstance(s, Step) for s in self.steps):
+                raise ValueError(f"steps must be Step members, got {self.steps!r}")
             raise ValueError(
                 f"not a first-passage sequence from {self.start}: "
                 f"{''.join(s.value for s in self.steps)!r}"
@@ -111,10 +115,10 @@ def enumerate_first_passage(
     """Every absorbed trajectory from k with exactly n right steps.
 
     Returned in canonical order (lexicographic in the R/L serialization,
-    'L' < 'R'), so the result is deterministic.  Backtracking prunes any
-    prefix that would be absorbed early; a prefix with r rights and l lefts
-    remaining sits at position l - r, so feasibility is maintained by
-    construction and only the positivity prune is needed.
+    'L' < 'R'), so the result is deterministic.  A depth-first search on an
+    explicit stack (no recursion limit) prunes any prefix that would be
+    absorbed early; a prefix with r rights and l lefts remaining sits at
+    position l - r, so feasibility is maintained by construction.
     """
     check_int(k, "k", 1)
     check_int(n, "n", 0)
@@ -125,24 +129,19 @@ def enumerate_first_passage(
         )
 
     out: list[LatticePath] = []
-    prefix: list[Step] = []
-    left, right = Step.LEFT, Step.RIGHT
-
-    def extend(pos: int, r_rem: int, l_rem: int) -> None:
-        if r_rem == 0 and l_rem == 0:
-            out.append(LatticePath(k, tuple(prefix)))
-            return
-        # 'L' sorts before 'R', so explore left first for canonical order.
-        if l_rem > 0 and (pos > 1 or r_rem == 0):
-            prefix.append(left)
-            extend(pos - 1, r_rem, l_rem - 1)
-            prefix.pop()
+    stack: list[tuple[tuple[Step, ...], int]] = [((), 0)]
+    while stack:
+        prefix, rights = stack.pop()
+        depth = len(prefix)
+        if depth == length:
+            out.append(LatticePath(k, prefix))
+            continue
+        r_rem = n - rights
+        # 'L' < 'R': push right before left so the left subtree comes out first.
         if r_rem > 0:
-            prefix.append(right)
-            extend(pos + 1, r_rem - 1, l_rem)
-            prefix.pop()
-
-    extend(k, n, n + k)
+            stack.append((prefix + (Step.RIGHT,), rights + 1))
+        if k + 2 * rights - depth > 1 or r_rem == 0:
+            stack.append((prefix + (Step.LEFT,), rights))
     return out
 
 
@@ -192,7 +191,9 @@ def shift_bijection_k2(path: LatticePath) -> LatticePath:
     """Map a start-1 path with n+1 right steps to a start-2 path with n.
 
     Strips the (necessarily right) first step; the inverse prepends one
-    right step and resets the start to 1.
+    right step and resets the start to 1.  Stripping a common first step
+    preserves canonical order: the image of enumerate_first_passage(1, n + 1)
+    is enumerate_first_passage(2, n), order included.
     """
     if path.start != 1:
         raise ValueError(f"shift bijection requires start = 1, got {path.start}")
@@ -209,7 +210,9 @@ def partition_by_first_step(
     Paths opening right map, first step stripped, onto the start-k paths
     with n rights; paths opening left map onto the start-(k-2) paths with
     n+1 rights.  Cardinalities realize
-    C_{k-1}(n+1) = C_k(n) + C_{k-2}(n+1).
+    C_{k-1}(n+1) = C_k(n) + C_{k-2}(n+1).  Each part shares its first step,
+    and stripping a common first step preserves canonical order, so each
+    list equals the enumeration of its target, order included.
     """
     check_int(k, "k", 3)
     check_int(n, "n", 0)

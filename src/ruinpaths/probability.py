@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Protocol, Union
 
-from ._validate import check_int
+from ._validate import check_int, check_probability
 
 StepProbability = Union[Fraction, float]
 
@@ -38,18 +38,6 @@ class SeriesCancelled(RuntimeError):
     """Raised when a series evaluation is cancelled between terms."""
 
 
-def _check_probability(p: StepProbability, name: str = "p") -> StepProbability:
-    if isinstance(p, bool):
-        raise TypeError(f"{name} must be a Fraction or float, got bool")
-    if isinstance(p, int):
-        p = Fraction(p)
-    if not isinstance(p, (Fraction, float)):
-        raise TypeError(f"{name} must be a Fraction or float, got {type(p).__name__}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return p
-
-
 def absorption_exact(k: int, p: StepProbability) -> StepProbability:
     """Closed-form absorption probability: 1 for p <= 1/2, else ((1-p)/p)^k.
 
@@ -57,7 +45,7 @@ def absorption_exact(k: int, p: StepProbability) -> StepProbability:
     exponent (the k = 1 probability raised to the k-th power).
     """
     check_int(k, "k", 1)
-    p = _check_probability(p)
+    p = check_probability(p)
     if 2 * p <= 1:
         return Fraction(1) if isinstance(p, Fraction) else 1.0
     return ((1 - p) / p) ** k
@@ -109,7 +97,7 @@ def absorption_via_gf(p: StepProbability) -> StepProbability:
     and p > 1/2 cases emerge from the algebra, not from a runtime branch.
     Rejects p = 0 (division by p); the closed form covers that case.
     """
-    p = _check_probability(p)
+    p = check_probability(p)
     if p == 0:
         raise ValueError("p = 0 is excluded (division by p); absorption is 1 there")
     return generating_function(p - p * p) / p
@@ -145,7 +133,7 @@ def series_terms(
     decay like n^(-3/2) near p = 1/2).
     """
     check_int(k, "k", 1)
-    p = _check_probability(p)
+    p = check_probability(p)
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     q = 1 - p
@@ -206,7 +194,7 @@ def verify_three_term(k: int, p: StepProbability) -> bool:
     and covered by the closed form directly).
     """
     check_int(k, "k", 1)
-    p = _check_probability(p)
+    p = check_probability(p)
     if p == 0 or p == 1:
         raise ValueError("the recurrence needs 0 < p < 1")
     lhs = absorption_exact(k + 2, p)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._validate import check_int
+from ._validate import check_int, check_probability
 from .probability import StepProbability
 
 _CHUNK = 128
@@ -39,8 +39,7 @@ _Z95 = 1.959963984540054
 
 def _check_walk(k: int, p: StepProbability, max_steps: int) -> None:
     check_int(k, "k", 1)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_probability(p)
     if not isinstance(max_steps, int) or max_steps < k:
         # Absorption takes at least k steps; a smaller horizon is vacuous.
         raise ValueError(f"max_steps must be an integer >= k = {k}, got {max_steps!r}")
@@ -159,12 +158,13 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     independent of how trials would be partitioned across workers.
     """
     p = float(config.p) if isinstance(config.p, Fraction) else config.p
-    bit_generator = np.random.Philox(key=[config.seed, 0])
+    # A uint64 key array: numpy would cast a list holding a seed >= 2**63
+    # through float64.
+    bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     stream = np.random.Generator(bit_generator)
     state = bit_generator.state
     counter = state["state"]["counter"]
     key = state["state"]["key"]
-    key[0] = config.seed
 
     absorbed = 0
     for trial in range(config.trials):

@@ -1,6 +1,7 @@
 """Every public entry point checks its integer arguments the same way:
 TypeError for a non-int (bool included), ValueError below the minimum, and
-a message that starts with the argument's name."""
+a message that starts with the argument's name.  The simulator checks its
+probability p as the probability routes do."""
 
 from fractions import Fraction
 
@@ -62,3 +63,17 @@ def test_non_int_is_type_error(call, name, least):
 def test_below_minimum_is_value_error(call, name, least):
     with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
         call(least - 1)
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: WalkConfig(k=1, p=p, max_steps=10, trials=1, seed=0),
+        lambda p: run_walk(1, p, 100, np.random.Generator(np.random.Philox(key=[0, 0]))),
+    ],
+    ids=["WalkConfig", "run_walk"],
+)
+def test_simulator_rejects_non_numeric_p(call, value):
+    with pytest.raises(TypeError, match="^p must be a Fraction or float, got "):
+        call(value)

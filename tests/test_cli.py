@@ -16,7 +16,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from ruinpaths import cli, combinatorics
+from ruinpaths import cli, combinatorics, paths
 
 
 def run_cli(*args: str, env_extra: dict[str, str] | None = None):
@@ -214,6 +214,13 @@ def test_dump_respects_cap():
     assert "26" in result.stderr
 
 
+def test_dump_path_longer_than_recursion_limit():
+    result = run_cli("dump", "--k", "1500", "--n", "0", "--cap", "2000", "--format", "csv")
+    assert result.returncode == 0
+    assert result.stdout == "path\n1500:" + "L" * 1500 + "\n"
+    assert result.stderr == ""
+
+
 def test_verify_fast_suites_pass():
     result = run_cli(
         "verify", "recurrences", "--max-k", "5", "--max-n", "20", "--format", "csv",
@@ -245,6 +252,21 @@ def test_verify_failure_returns_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "k=2" in out
+
+
+def test_verify_bijections_catches_reordered_partition(monkeypatch, capsys):
+    # Right sets in the wrong order: the partition identity compares lists,
+    # so it must fail.
+    partition = paths.partition_by_first_step
+
+    def reversed_parts(k: int, n: int, *, cap: int):
+        to_k, to_k_minus_2 = partition(k, n, cap=cap)
+        return to_k[::-1], to_k_minus_2[::-1]
+
+    monkeypatch.setattr(paths, "partition_by_first_step", reversed_parts)
+    code = cli.main(["verify", "bijections", "--max-n", "4", "--max-len", "12"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_unknown_method_is_usage_error():

@@ -72,6 +72,13 @@ def test_is_first_passage(start, text, expected):
     assert is_first_passage(start, steps_of(text)) is expected
 
 
+def test_non_step_elements_are_rejected():
+    assert is_first_passage(1, ["L"]) is False
+    assert is_first_passage(2, [R, "L", L, L]) is False
+    with pytest.raises(ValueError, match="^steps must be Step members"):
+        LatticePath(1, ("L",))
+
+
 @given(
     st.integers(min_value=1, max_value=5),
     st.lists(st.sampled_from([R, L]), max_size=12),
@@ -147,6 +154,11 @@ def test_enumerate_cap_is_enforced_and_overridable():
     with pytest.raises(EnumerationCapError):
         enumerate_first_passage(2, 1, cap=3)
     assert len(enumerate_first_passage(2, 1, cap=4)) == 2
+
+
+def test_enumerate_has_no_depth_limit():
+    # Far longer than the interpreter's default recursion limit.
+    assert enumerate_first_passage(1500, 0, cap=2000) == [LatticePath(1500, (L,) * 1500)]
 
 
 def test_enumerate_rejects_bad_input():

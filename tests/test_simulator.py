@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from ruinpaths import (
 
 
 def substream(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,19 @@ def test_estimate_matches_per_trial_substreams():
     manual = sum(
         isinstance(run_walk(2, 0.55, 500, substream(77, trial)), Absorbed)
         for trial in range(300)
+    )
+    assert estimate.absorbed == manual
+
+
+def test_estimate_at_largest_seed_warns_nothing_and_matches_substreams():
+    seed = 2**64 - 1
+    config = WalkConfig(k=1, p=0.6, max_steps=200, trials=20, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = estimate_absorption(config)
+    manual = sum(
+        isinstance(run_walk(1, 0.6, 200, substream(seed, trial)), Absorbed)
+        for trial in range(20)
     )
     assert estimate.absorbed == manual
 
