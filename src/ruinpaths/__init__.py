@@ -32,7 +32,6 @@ from .paths import (
 from .probability import (
     DEFAULT_MAX_TERMS,
     NEAR_CRITICAL_DELTA,
-    SeriesCancelled,
     SeriesEvaluation,
     StepProbability,
     absorption_exact,
@@ -74,7 +73,6 @@ __all__ = [
     "shift_bijection_k2",
     "DEFAULT_MAX_TERMS",
     "NEAR_CRITICAL_DELTA",
-    "SeriesCancelled",
     "SeriesEvaluation",
     "StepProbability",
     "absorption_exact",

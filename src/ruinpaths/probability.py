@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Protocol, Union
+from typing import Iterator, Union
 
 from ._validate import check_int, check_probability
 
@@ -26,16 +26,6 @@ StepProbability = Union[Fraction, float]
 DEFAULT_MAX_TERMS = 100_000
 NEAR_CRITICAL_DELTA = 0.005
 THREE_TERM_TOLERANCE = 1e-12
-
-
-class CancelToken(Protocol):
-    """Anything with is_set(), e.g. threading.Event."""
-
-    def is_set(self) -> bool: ...
-
-
-class SeriesCancelled(RuntimeError):
-    """Raised when a series evaluation is cancelled between terms."""
 
 
 def absorption_exact(k: int, p: StepProbability) -> StepProbability:
@@ -120,7 +110,7 @@ class SeriesEvaluation:
 
 
 def series_terms(
-    k: int, p: StepProbability, delta: float = NEAR_CRITICAL_DELTA
+    k: int, p: StepProbability
 ) -> Iterator[tuple[StepProbability, StepProbability | None]]:
     """The terms t_0, t_1, ... of sum_n C_k(n) p^n (1-p)^(n+k), without end,
     each paired with its certified bound on the tail after it, or None.
@@ -129,17 +119,15 @@ def series_terms(
     t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
     arithmetic as p.  The bound t_n r/(1-r), r = 4p(1-p), holds only from
     tail_start(k) on, so it is None before that; it is None throughout when
-    r >= 1 - delta, since there is no useful geometric bound there (terms
-    decay like n^(-3/2) near p = 1/2).
+    r >= 1 - NEAR_CRITICAL_DELTA, since there is no useful geometric bound
+    there (terms decay like n^(-3/2) near p = 1/2).
     """
     check_int(k, "k", 1)
     p = check_probability(p)
-    if not 0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     q = 1 - p
     pq = p * q
     ratio = 4 * pq
-    certifiable = ratio < 1 - delta
+    certifiable = ratio < 1 - NEAR_CRITICAL_DELTA
     n0 = tail_start(k)
 
     def terms() -> Iterator[tuple[StepProbability, StepProbability | None]]:
@@ -159,26 +147,22 @@ def absorption_series(
     target_tail: float,
     *,
     max_terms: int = DEFAULT_MAX_TERMS,
-    delta: float = NEAR_CRITICAL_DELTA,
-    cancel: CancelToken | None = None,
 ) -> SeriesEvaluation:
     """Sum the counting series sum_n C_k(n) p^n (1-p)^(n+k) with a
     certified stopping rule.
 
     The terms and their tail bounds come from series_terms.  The run stops
     at the first n whose bound is at most target_tail.  Where no bound is
-    available (4p(1-p) >= 1 - delta) the sum runs to max_terms and is
-    reported as a certified lower bound with converged = False and an
-    infinite tail_bound.  Cancellation is checked between terms.
+    available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to max_terms
+    and is reported as a certified lower bound with converged = False and an
+    infinite tail_bound.
     """
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
     check_int(max_terms, "max_terms", 1)
-    terms = series_terms(k, p, delta)
+    terms = series_terms(k, p)
     total = 0 * p
     for n, (term, bound) in enumerate(terms):
-        if cancel is not None and cancel.is_set():
-            raise SeriesCancelled(f"cancelled after {n} terms")
         total += term
         if bound is not None and bound <= target_tail:
             return SeriesEvaluation(total, n + 1, bound, True)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,8 +88,13 @@ def run_walk(
     docstring for the argument).
     """
     _check_walk(k, p, max_steps)
-    p = float(p)
+    return _walk(k, float(p), max_steps, random_stream)
 
+
+def _walk(
+    k: int, p: float, max_steps: int, random_stream: np.random.Generator
+) -> Absorbed | Censored:
+    # run_walk without the argument checks, for arguments already checked.
     pos = k
     t = 0
     rnd = random_stream.random
@@ -157,7 +161,7 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     (config.seed, i), so the result is bit-identical across runs and
     independent of how trials would be partitioned across workers.
     """
-    p = float(config.p) if isinstance(config.p, Fraction) else config.p
+    p = float(config.p)
     # A uint64 key array: numpy would cast a list holding a seed >= 2**63
     # through float64.
     bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
@@ -175,7 +179,7 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
         state["has_uint32"] = 0
         state["uinteger"] = 0
         bit_generator.state = state
-        if isinstance(run_walk(config.k, p, config.max_steps, stream), Absorbed):
+        if isinstance(_walk(config.k, p, config.max_steps, stream), Absorbed):
             absorbed += 1
 
     censored = config.trials - absorbed

@@ -1,13 +1,13 @@
 import math
-import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ruinpaths import (
-    SeriesCancelled,
+    NEAR_CRITICAL_DELTA,
     absorption_exact,
     absorption_series,
     absorption_via_gf,
@@ -15,6 +15,7 @@ from ruinpaths import (
     tail_start,
     verify_three_term,
 )
+from ruinpaths.probability import series_terms
 
 RATIONAL_GRID = [
     Fraction(1, 10),
@@ -197,20 +198,36 @@ def test_series_near_critical_band_is_two_sided():
         assert not result.converged
 
 
-def test_series_cancellation():
-    token = threading.Event()
-    token.set()
-    with pytest.raises(SeriesCancelled):
-        absorption_series(1, Fraction(1, 2), 1e-12, cancel=token)
-
-
 def test_series_rejects_bad_parameters():
     with pytest.raises(ValueError):
         absorption_series(1, 0.6, 0.0)
     with pytest.raises(ValueError):
         absorption_series(1, 0.6, 1e-12, max_terms=0)
-    with pytest.raises(ValueError):
-        absorption_series(1, 0.6, 1e-12, delta=0.0)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.one_of(
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda den: st.integers(min_value=0, max_value=den).map(
+                lambda num: Fraction(num, den)
+            )
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+# The closest fractions (denominator <= 64) on either side of the band edge:
+# 4p(1-p) is 0.994898... at 15/28 and 0.995133... at 23/43.
+@example(5, Fraction(15, 28))
+@example(5, Fraction(23, 43))
+def test_series_terms_bound_exactly_where_certified(k, p):
+    ratio = 4 * (p * (1 - p))
+    certifiable = ratio < 1 - NEAR_CRITICAL_DELTA
+    for n, (term, bound) in enumerate(islice(series_terms(k, p), 60)):
+        if n < tail_start(k) or not certifiable:
+            assert bound is None
+        else:
+            assert bound == term * ratio / (1 - ratio)
 
 
 @given(rational_p_open_interval(), st.integers(min_value=1, max_value=8))

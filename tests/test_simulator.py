@@ -12,6 +12,7 @@ from ruinpaths import (
     absorption_exact,
     estimate_absorption,
     run_walk,
+    simulator,
 )
 
 
@@ -119,6 +120,18 @@ def test_estimate_matches_per_trial_substreams():
         for trial in range(300)
     )
     assert estimate.absorbed == manual
+
+
+def test_estimate_checks_its_request_once(monkeypatch):
+    # WalkConfig checks k, p and max_steps; the trials must not repeat it.
+    config = WalkConfig(k=2, p=Fraction(11, 20), max_steps=300, trials=200, seed=5)
+    expected = estimate_absorption(config)
+
+    def refuse(*args):
+        raise AssertionError("argument check repeated after WalkConfig")
+
+    monkeypatch.setattr(simulator, "_check_walk", refuse)
+    assert estimate_absorption(config) == expected
 
 
 def test_estimate_at_largest_seed_warns_nothing_and_matches_substreams():
