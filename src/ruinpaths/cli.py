@@ -32,10 +32,6 @@ EXIT_NOT_CONVERGED = 3
 FORMATS = ("table", "csv", "json")
 
 
-class CliError(Exception):
-    """User-facing input error; rendered to stderr with exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # input parsing
 
@@ -48,30 +44,29 @@ def parse_probability(text: str) -> probability.StepProbability:
         try:
             value: probability.StepProbability = Fraction(int(num_text), int(den_text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad rational probability {text!r}: {exc}") from None
+            raise ValueError(f"bad rational probability {text!r}: {exc}") from None
     else:
         try:
             value = float(text)
         except ValueError:
-            raise CliError(f"bad probability {text!r}") from None
+            raise ValueError(f"bad probability {text!r}") from None
         if math.isnan(value) or math.isinf(value):
-            raise CliError(f"probability must be finite, got {text!r}")
+            raise ValueError(f"probability must be finite, got {text!r}")
     if not 0 <= value <= 1:
-        raise CliError(f"probability must lie in [0, 1], got {text!r}")
+        raise ValueError(f"probability must lie in [0, 1], got {text!r}")
     return value
 
 
-def parse_range(text: str, name: str, minimum: int) -> range:
+def parse_range(text: str, name: str) -> range:
     """Inclusive "A..B" or a single integer "N"."""
     lo_text, sep, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
         hi = int(hi_text) if sep else lo
     except ValueError:
-        raise CliError(f"bad {name} range {text!r}; expected N or A..B") from None
+        raise ValueError(f"bad {name} range {text!r}; expected N or A..B") from None
     if lo > hi:
-        raise CliError(f"empty {name} range {text!r} (start exceeds end)")
-    check_int(lo, name, minimum)
+        raise ValueError(f"empty {name} range {text!r} (start exceeds end)")
     return range(lo, hi + 1)
 
 
@@ -84,7 +79,7 @@ def resolve_seed(flag_value: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise CliError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+        raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,31 +88,20 @@ def resolve_seed(flag_value: int | None) -> int:
 def format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
     return str(value)
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
 
 
 def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
     stream = stream if stream is not None else sys.stdout
-    if not rows:
-        return
     columns = list(rows[0])
     if fmt == "json":
-        payload: Any = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
+        # A Fraction is written as its "num/den" string, an infinite tail
+        # bound as "inf".
+        payload: Any = [{k: "inf" if v == math.inf else v for k, v in row.items()}
+                        for row in rows]
         if len(payload) == 1:
             payload = payload[0]
-        stream.write(json.dumps(payload, allow_nan=False) + "\n")
+        stream.write(json.dumps(payload, allow_nan=False, default=str) + "\n")
     elif fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
@@ -137,8 +121,9 @@ def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
 # subcommand handlers
 
 def cmd_count(args: argparse.Namespace) -> int:
-    k_range = parse_range(args.k, "k", 1)
-    n_range = parse_range(args.n, "n", 0)
+    # ballot_count checks each k and n; the first cell holds the least.
+    k_range = parse_range(args.k, "k")
+    n_range = parse_range(args.n, "n")
     rows = [
         {"k": k, "n": n, "count": combinatorics.ballot_count(k, n)}
         for k in k_range
@@ -163,9 +148,9 @@ def cmd_prob(args: argparse.Namespace) -> int:
         row["value"] = probability.absorption_via_gf(p) ** args.k
     elif method == "series":
         if args.tail <= 0:
-            raise CliError(f"--tail must be > 0, got {args.tail}")
+            raise ValueError(f"--tail must be > 0, got {args.tail}")
         if args.max_terms < 1:
-            raise CliError(f"--max-terms must be >= 1, got {args.max_terms}")
+            raise ValueError(f"--max-terms must be >= 1, got {args.max_terms}")
         result = probability.absorption_series(
             args.k, p, args.tail, max_terms=args.max_terms
         )
@@ -177,7 +162,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
             code = EXIT_NOT_CONVERGED
     else:  # simulate
         if args.trials < 1:
-            raise CliError(f"--trials must be >= 1, got {args.trials}")
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         seed = resolve_seed(args.seed)
         config = simulator.WalkConfig(
             k=args.k, p=p, max_steps=args.max_steps, trials=args.trials, seed=seed
@@ -200,7 +185,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     check_int(args.k, "k", 1)
     if args.max_terms < 0:
-        raise CliError(f"--max-terms must be >= 0, got {args.max_terms}")
+        raise ValueError(f"--max-terms must be >= 0, got {args.max_terms}")
     p = parse_probability(args.p)
     rows: list[dict[str, Any]] = []
     total = 0 * p
@@ -428,9 +413,9 @@ def _suite_bounds(suite: str, args: argparse.Namespace) -> Bounds:
     bounds = {name: default if flags[name] is None else flags[name]
               for name, default in defaults.items()}
     if any(bounds[name] < value for name, value in least.items()):
-        raise CliError(too_small)
-    if bounds.get("max_len", 0) > args.cap:
-        raise CliError(f"--max-len {bounds['max_len']} exceeds enumeration cap {args.cap}")
+        raise ValueError(too_small)
+    if "max_len" in bounds and bounds["max_len"] > args.cap:
+        raise ValueError(f"--max-len {bounds['max_len']} exceeds enumeration cap {args.cap}")
     return {**bounds, "cap": args.cap}
 
 
@@ -537,26 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run",
     )
-    p_verify.add_argument(
-        "--max-k",
-        type=int,
-        default=None,
-        help="k bound (default 50 for recurrences, 6 for oracle)",
-    )
-    p_verify.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help="n bound (default 200 for the recurrence grid, 500 for the "
-        "start-2 identity, 8 for bijections)",
-    )
-    p_verify.add_argument(
-        "--max-len",
-        type=int,
-        default=None,
-        help="path-length bound 2n+k (default 18 for oracle, 20 for the "
-        "partition bijection)",
-    )
+    defaults = {suite: bounds for suite, (bounds, _, _) in SUITES.items()}
+    for flag, text in (
+        ("--max-k", "k bound (default {recurrences[max_k]} for recurrences, "
+         "{oracle[max_k]} for oracle)"),
+        ("--max-n", "n bound (default {recurrences[max_n]} for the recurrence grid, "
+         "{recurrences[t2_max_n]} for the start-2 identity, {bijections[max_n]} "
+         "for bijections)"),
+        ("--max-len", "path-length bound 2n+k (default {oracle[max_len]} for oracle, "
+         "{bijections[max_len]} for the partition bijection)"),
+    ):
+        p_verify.add_argument(flag, type=int, default=None, help=text.format(**defaults))
     _add(p_verify, "--cap", "--format")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -577,7 +553,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = args.handler
     try:
         return handler(args)
-    except (CliError, ValueError) as exc:  # EnumerationCapError is a ValueError
+    except ValueError as exc:  # EnumerationCapError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,10 +42,13 @@ def absorption_exact(k: int, p: StepProbability) -> StepProbability:
 
 
 def tail_start(k: int) -> int:
-    """First series index from which the geometric tail bound is valid.
+    """First series index from which the geometric tail bound is used,
+    n0 = max(0, ceil((k^2 - k - 2)/2)).
 
-    The term ratio stays below 4p(1-p) only once 2n + 2 + k - k^2 >= 0,
-    i.e. from n0 = max(0, ceil((k^2 - k - 2)/2)).
+    A safe but late start: the term ratio t_{n+1}/t_n stays at or below
+    4p(1-p) exactly when 6n >= k^2 - 3k - 4 (from n = 1 at k = 5 and n = 18
+    at k = 12, where n0 is 9 and 65).  Acceptance criterion 8 pins n0 as it
+    is.
     """
     check_int(k, "k", 1)
     return max(0, -(-(k * k - k - 2) // 2))

@@ -39,7 +39,7 @@ _Z95 = 1.959963984540054
 def _check_walk(k: int, p: StepProbability, max_steps: int) -> None:
     check_int(k, "k", 1)
     check_probability(p)
-    if not isinstance(max_steps, int) or max_steps < k:
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < k:
         # Absorption takes at least k steps; a smaller horizon is vacuous.
         raise ValueError(f"max_steps must be an integer >= k = {k}, got {max_steps!r}")
 
@@ -58,8 +58,9 @@ class WalkConfig:
     def __post_init__(self) -> None:
         _check_walk(self.k, self.p, self.max_steps)
         check_int(self.trials, "trials", 1)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,15 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     # through float64.
     bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     stream = np.random.Generator(bit_generator)
+    # The fresh state: zero counter, empty buffer.  The setter copies the dict
+    # and drawing never writes to it, so setting it with key [seed, trial]
+    # gives the exact state of a fresh Philox(key=[seed, trial]).
     state = bit_generator.state
-    counter = state["state"]["counter"]
     key = state["state"]["key"]
 
     absorbed = 0
     for trial in range(config.trials):
-        # Reset to the exact state of a fresh Philox(key=[seed, trial]).
-        counter[:] = 0
         key[1] = trial
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
         bit_generator.state = state
         if isinstance(_walk(config.k, p, config.max_steps, stream), Absorbed):
             absorbed += 1

@@ -241,6 +241,16 @@ def test_verify_rejects_bad_bounds():
     assert "bounds" in result.stderr
 
 
+def test_verify_cap_applies_only_to_suites_with_a_length_bound(capsys):
+    # Neither suite enumerates paths, so --cap changes nothing they print.
+    for argv in (["verify", "probability"],
+                 ["verify", "recurrences", "--max-k", "2", "--max-n", "2"]):
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr()
+        assert cli.main([*argv, "--cap", "-5"]) == 0
+        assert capsys.readouterr() == expected
+
+
 def test_verify_failure_returns_1(monkeypatch, capsys):
     def broken(k: int, n: int) -> int:
         value = combinatorics.ballot_count(k, n)

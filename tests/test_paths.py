@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,9 +76,16 @@ def test_is_first_passage(start, text, expected):
 
 def test_non_step_elements_are_rejected():
     assert is_first_passage(1, ["L"]) is False
+    assert is_first_passage(1, "L") is False
     assert is_first_passage(2, [R, "L", L, L]) is False
     with pytest.raises(ValueError, match="^steps must be Step members"):
         LatticePath(1, ("L",))
+    # A stand-in with the right delta is still not a Step.
+    fake_left = SimpleNamespace(delta=-1)
+    assert is_first_passage(1, [fake_left]) is False
+    assert is_first_passage(2, [L, fake_left]) is False
+    with pytest.raises(ValueError, match="^steps must be Step members"):
+        LatticePath(1, (fake_left,))
 
 
 @given(

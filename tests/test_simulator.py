@@ -34,6 +34,8 @@ def substream(seed: int, trial: int) -> np.random.Generator:
         dict(k=1, p=0.5, max_steps=10, trials=0, seed=0),
         dict(k=1, p=0.5, max_steps=10, trials=1, seed=-1),
         dict(k=1, p=0.5, max_steps=10, trials=1, seed=2**64),
+        dict(k=1, p=0.5, max_steps=10, trials=1, seed=True),
+        dict(k=1, p=0.5, max_steps=True, trials=1, seed=0),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -112,14 +114,16 @@ def test_estimate_is_bit_reproducible():
 
 def test_estimate_matches_per_trial_substreams():
     # The estimator must consume exactly the keyed substream (seed, trial)
-    # for trial i, the same stream a fresh generator would produce.
-    config = WalkConfig(k=2, p=0.55, max_steps=500, trials=300, seed=77)
-    estimate = estimate_absorption(config)
-    manual = sum(
-        isinstance(run_walk(2, 0.55, 500, substream(77, trial)), Absorbed)
-        for trial in range(300)
-    )
-    assert estimate.absorbed == manual
+    # for trial i, the same stream a fresh generator would produce.  From
+    # k = 70 every trial starts with binomial block jumps, so trials stop
+    # partway through a Philox buffer before the next one is reset.
+    for k, p, max_steps in ((2, 0.55, 500), (70, 0.5, 5000)):
+        config = WalkConfig(k=k, p=p, max_steps=max_steps, trials=300, seed=77)
+        manual = sum(
+            isinstance(run_walk(k, p, max_steps, substream(77, trial)), Absorbed)
+            for trial in range(300)
+        )
+        assert estimate_absorption(config).absorbed == manual
 
 
 def test_estimate_checks_its_request_once(monkeypatch):
