@@ -83,7 +83,7 @@ class LatticePath:
                 raise ValueError(f"steps must be Step members, got {self.steps!r}")
             raise ValueError(
                 f"not a first-passage sequence from {self.start}: "
-                f"{''.join(s.value for s in self.steps)!r}"
+                f"{''.join(s._value_ for s in self.steps)!r}"
             )
 
     def right_steps(self) -> int:
@@ -95,7 +95,8 @@ class LatticePath:
 
 def path_to_string(path: LatticePath) -> str:
     """Canonical serialization: start, colon, one R/L character per step."""
-    return f"{path.start}:" + "".join(s.value for s in path.steps)
+    # _value_ is plain member data; the enum's value property runs Python code.
+    return f"{path.start}:" + "".join(s._value_ for s in path.steps)
 
 
 def path_from_string(text: str) -> LatticePath:

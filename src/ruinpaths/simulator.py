@@ -8,8 +8,9 @@ count, and make censoring monotone in the horizon (same substream, longer
 horizon).  The chunk and block constants below are part of the
 reproducibility contract: changing them changes which draws a walk consumes.
 
-The walk is simulated exactly.  While the position is small, steps are
-drawn in fixed-size chunks of uniforms and scanned for the first zero hit.
+The walk is simulated exactly.  While the position is small, the chunk is
+the unit of drawing: 128 uniforms drawn at once, scanned one per step (right
+when u < p) up to the first zero, and consumed whole if the walk ends inside.
 Once the position exceeds the block threshold, the next b = pos - 1 steps
 cannot reach 0 (absorption from pos needs at least pos steps), so by the
 Markov property the position after those b steps is exactly
@@ -32,7 +33,6 @@ from .probability import StepProbability
 
 _CHUNK = 128
 _BLOCK_THRESHOLD = 64
-_STEP_NUMBERS = np.arange(1, _CHUNK + 1)
 _Z95 = 1.959963984540054
 
 
@@ -84,9 +84,9 @@ def run_walk(
     """Simulate one walk from k; Absorbed(t) if it reaches 0 at step
     t <= max_steps, else Censored().
 
-    Equivalent to drawing unit steps one at a time from random_stream; the
-    chunked and blocked drawing is an exact acceleration (see the module
-    docstring for the argument).
+    Near 0 the chunk is the unit of drawing (128 uniforms, scanned one per
+    step); far from 0 a binomial block jump over pos - 1 unit steps is the
+    exact acceleration (see the module docstring for the argument).
     """
     _check_walk(k, p, max_steps)
     return _walk(k, float(p), max_steps, random_stream)
@@ -100,25 +100,18 @@ def _walk(
     t = 0
     rnd = random_stream.random
     binom = random_stream.binomial
-    while True:
-        if pos > max_steps - t:
-            return Censored()
+    while pos <= max_steps - t:
         if pos > _BLOCK_THRESHOLD:
             b = pos - 1
             pos += 2 * int(binom(b, p)) - b
             t += b
         else:
-            rights = np.cumsum(rnd(_CHUNK) < p)
-            walk = 2 * rights - _STEP_NUMBERS
-            if pos + walk.min() <= 0:
-                # Unit steps cannot skip a level, so the first zero exists.
-                first_zero = int(np.argmax(walk == -pos))
-                t_absorbed = t + first_zero + 1
-                if t_absorbed <= max_steps:
-                    return Absorbed(t_absorbed)
-                return Censored()
-            pos += int(walk[-1])
-            t += _CHUNK
+            for u in rnd(_CHUNK).tolist():
+                t += 1
+                pos += 1 if u < p else -1
+                if pos == 0:
+                    return Absorbed(t) if t <= max_steps else Censored()
+    return Censored()
 
 
 @dataclass(frozen=True)

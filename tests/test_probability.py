@@ -136,6 +136,22 @@ def test_gf_route_rejects_p_zero():
     assert absorption_via_gf(1.0) == 0.0
 
 
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.49, exclude_min=True),
+        st.floats(min_value=0.51, max_value=1.0),
+    )
+)
+@example(1e-320)
+@example(1e-9)
+@example(1 - 2**-40)
+def test_float_gf_route_is_accurate_away_from_one_half(p):
+    # Written as (1 - sqrt(1-4z))/2, the route cancels at small p and
+    # printed 0.0 for p = 1e-320, where the answer is 1.
+    exact = absorption_exact(1, Fraction(p))
+    assert abs(Fraction(absorption_via_gf(p)) - exact) <= Fraction(1e-12) * exact
+
+
 # ---------------------------------------------------------------------------
 # series route
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -149,6 +150,56 @@ def test_estimate_at_largest_seed_warns_nothing_and_matches_substreams():
         for trial in range(20)
     )
     assert estimate.absorbed == manual
+
+
+# Outcomes held fixed across versions: any change to which draws a walk
+# consumes, or where it stops, moves them.
+# Each row: (k, p, max_steps, seed), (absorbed, censored) of 200 trials, and
+# the SHA-256 of the 200 run_walk step counts joined by commas (-1 for a
+# censored walk).
+PINNED_OUTCOMES = [
+    # absorbed in the first chunk
+    ((1, 0.6, 2000, 0), (132, 68),
+     "93844aa6babbadaa5086a1c4b37e9b5b9728b951c8a6135da437235b01a41212"),
+    # absorbed in a later chunk
+    ((2, 0.5, 2000, 2**63), (194, 6),
+     "a3e99caa206c54bb0538c4267da09c319a0b886bd5776855e09e2d3ac4f5f384"),
+    # horizon at and just past the first chunk's end
+    ((1, 0.5, 127, 2**64 - 1), (181, 19),
+     "9fcdf7cb1ff2bfc296c631961eb159d39ddeed6e75323d34ab59d2e9ca483daa"),
+    ((1, 0.5, 128, 0), (186, 14),
+     "085236a4ee989abd6368709dfa5120659423916bc2de4f95c3f8d26ac5c4fe4d"),
+    ((1, 0.5, 129, 2**63), (185, 15),
+     "ef0b45244ca4d321227aec7daf971b1832163d97d8f7d5b4548f166b14c55244"),
+    # a zero at step 128, inside the first chunk, lands past the horizon
+    ((2, 0.5, 127, 0), (169, 31),
+     "0e0c435a50833f4c7e823cfffbcfda225c34b96b2951f28f0b1059ee49f23f24"),
+    # binomial block jumps, then back to chunks
+    ((70, 0.5, 5000, 2**64 - 1), (56, 144),
+     "3a86d636e6d0ffacdc8f00b214167c997b8f1a869a9272b299804b0068f5c25c"),
+    # every walk absorbed exactly at the horizon
+    ((3, 0, 3, 0), (200, 0),
+     "2cf40316522ff5aba48f5c876315c7197e3d8a2d86dfabf6c2f09677116b5a37"),
+    ((1, 1, 300, 2**63), (0, 200),
+     "8fb36327ca8a00c42dc17a8646d5810db723326899d05a8f53565aff0ccf6cdb"),
+    ((2, Fraction(11, 20), 600, 2**64 - 1), (129, 71),
+     "df5fb9bbaeee039e0c16fa85019d41455c978c186aa42e2dcfb509db163354e0"),
+]
+
+
+@pytest.mark.parametrize("cell, counts, digest", PINNED_OUTCOMES)
+def test_outcomes_are_pinned(cell, counts, digest):
+    k, p, max_steps, seed = cell
+    estimate = estimate_absorption(
+        WalkConfig(k=k, p=p, max_steps=max_steps, trials=200, seed=seed)
+    )
+    assert (estimate.absorbed, estimate.censored) == counts
+    step_counts = []
+    for trial in range(200):
+        outcome = run_walk(k, p, max_steps, substream(seed, trial))
+        step_counts.append(outcome.step_count if isinstance(outcome, Absorbed) else -1)
+    text = ",".join(map(str, step_counts))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_estimate_counts_and_flags():
