@@ -18,15 +18,17 @@ def check_int(value: int, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_probability(p: Fraction | float) -> Fraction | float:
-    """Reject a bool or non-numeric p with TypeError and one outside [0, 1]
-    with ValueError; return p, an int converted to Fraction."""
+def check_probability(
+    p: Fraction | float, name: str = "p", upper: Fraction | int = 1
+) -> Fraction | float:
+    """Reject a bool or non-numeric p with TypeError and one outside [0, upper]
+    with ValueError, both naming it; return p, an int converted to Fraction."""
     if isinstance(p, bool):
-        raise TypeError("p must be a Fraction or float, got bool")
+        raise TypeError(f"{name} must be a Fraction or float, got bool")
     if isinstance(p, int):
         p = Fraction(p)
     if not isinstance(p, (Fraction, float)):
-        raise TypeError(f"p must be a Fraction or float, got {type(p).__name__}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise TypeError(f"{name} must be a Fraction or float, got {type(p).__name__}")
+    if not 0 <= p <= upper:
+        raise ValueError(f"{name} must lie in [0, {upper}], got {p}")
     return p

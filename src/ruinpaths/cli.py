@@ -149,8 +149,12 @@ def cmd_prob(args: argparse.Namespace) -> int:
     elif method == "series":
         if args.tail <= 0:
             raise ValueError(f"--tail must be > 0, got {args.tail}")
-        if args.max_terms < 1:
-            raise ValueError(f"--max-terms must be >= 1, got {args.max_terms}")
+        check_int(args.max_terms, "--max-terms", 1)
+        # No tail bound exists before n0, so a budget ending there cannot converge.
+        n0 = probability.tail_start(args.k)
+        if n0 >= args.max_terms:
+            raise ValueError(f"the series for k={args.k} cannot certify within --max-terms "
+                             f"{args.max_terms}: its tail bound starts at n={n0}")
         result = probability.absorption_series(
             args.k, p, args.tail, max_terms=args.max_terms
         )
@@ -161,8 +165,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
         if not result.converged:
             code = EXIT_NOT_CONVERGED
     else:  # simulate
-        if args.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        check_int(args.trials, "--trials", 1)
         seed = resolve_seed(args.seed)
         config = simulator.WalkConfig(
             k=args.k, p=p, max_steps=args.max_steps, trials=args.trials, seed=seed
@@ -184,8 +187,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     check_int(args.k, "k", 1)
-    if args.max_terms < 0:
-        raise ValueError(f"--max-terms must be >= 0, got {args.max_terms}")
+    check_int(args.max_terms, "--max-terms", 0)
     p = parse_probability(args.p)
     rows: list[dict[str, Any]] = []
     total = 0 * p

@@ -53,8 +53,8 @@ def catalan_via_convolution(n: int) -> BallotCount:
     return sum(catalan(a - 1) * catalan(n - a) for a in range(1, n + 1))
 
 
-# Grow-only memo of C_k(n), keyed (k, n).
-_RECURRENCE_MEMO: dict[tuple[int, int], BallotCount] = {}
+# Grow-only table of C_j(m): _RECURRENCE_ROWS[j - 1][m], filled from m = 0 up.
+_RECURRENCE_ROWS: list[list[BallotCount]] = []
 
 
 def ballot_via_recurrence(k: int, n: int) -> BallotCount:
@@ -62,23 +62,20 @@ def ballot_via_recurrence(k: int, n: int) -> BallotCount:
 
     Base cases C_1(n) = C(n) and C_2(n) = C(n+1); for k >= 3 use
     C_k(n) = C_{k-1}(n+1) - C_{k-2}(n+1).  Must agree with ballot_count.
-    Missing cells are filled into a memo in dependency order from an
-    explicit stack, so no start position is too deep for the call stack.
+    Rows 1..k are extended in order, row j up to m = n + k - j, so the
+    cells it reads one step further out are already filled.  Concurrent
+    callers must not share the table: two threads extending one row would
+    misalign it.
     """
     check_int(k, "k", 1)
     check_int(n, "n", 0)
-    memo = _RECURRENCE_MEMO
-    pending = [(k, n)]
-    while pending:
-        j, m = cell = pending[-1]
-        if cell in memo:
-            pending.pop()
-        elif j <= 2:
-            memo[cell] = catalan(m + j - 1)
-        else:
-            below = [c for c in ((j - 1, m + 1), (j - 2, m + 1)) if c not in memo]
-            if below:
-                pending += below
+    rows = _RECURRENCE_ROWS
+    rows += ([] for _ in range(len(rows), k))
+    for j in range(1, k + 1):
+        row = rows[j - 1]
+        for m in range(len(row), n + k - j + 1):
+            if j <= 2:
+                row.append(catalan(m + j - 1))
             else:
-                memo[cell] = memo[j - 1, m + 1] - memo[j - 2, m + 1]
-    return memo[k, n]
+                row.append(rows[j - 2][m + 1] - rows[j - 3][m + 1])
+    return rows[k - 1][n]

@@ -100,12 +100,15 @@ def path_to_string(path: LatticePath) -> str:
 
 
 def path_from_string(text: str) -> LatticePath:
-    """Inverse of path_to_string; rejects anything malformed."""
+    """Inverse of path_to_string; rejects any text that it would not write."""
     head, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"missing ':' separator in {text!r}")
     try:
         start = int(head)
+        # int() also takes signs, spaces, '_', leading zeros, non-ASCII digits.
+        if str(start) != head:
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad start position in {text!r}") from None
     try:

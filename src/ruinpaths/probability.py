@@ -63,14 +63,7 @@ def generating_function(z: Union[Fraction, float]) -> Union[Fraction, float]:
     square (always the case for z = p - p^2, where 1-4z = (1-2p)^2),
     and falls back to float otherwise.
     """
-    if isinstance(z, bool):
-        raise TypeError("z must be a Fraction or float, got bool")
-    if isinstance(z, int):
-        z = Fraction(z)
-    if not isinstance(z, (Fraction, float)):
-        raise TypeError(f"z must be a Fraction or float, got {type(z).__name__}")
-    if not 0 <= 4 * z <= 1:
-        raise ValueError(f"z must lie in [0, 1/4], got {z}")
+    z = check_probability(z, "z", Fraction(1, 4))
     radicand = 1 - 4 * z
     if isinstance(z, Fraction):
         num, den = radicand.numerator, radicand.denominator

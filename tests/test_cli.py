@@ -143,6 +143,18 @@ def test_prob_series_not_converged_exits_3_with_output():
     assert 0 < Fraction(row["value"]) < 1
 
 
+def test_prob_series_budget_before_tail_start_fails_fast(capsys):
+    # tail_start(5) = 9: terms n = 0..8 carry no tail bound, so a budget of
+    # nine could only end unconverged.
+    argv = ["prob", "--k", "5", "--p", "3/5", "--method", "series", "--format", "csv"]
+    assert cli.main([*argv, "--max-terms", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "k=5" in err and "--max-terms 9" in err and "n=9" in err
+    assert cli.main([*argv, "--max-terms", "10"]) == 3
+    assert csv_rows(capsys.readouterr().out)[0]["terms_used"] == "10"
+
+
 def test_simulate_deterministic_runs():
     args = (
         "simulate", "--k", "2", "--p", "0.6", "--trials", "500",

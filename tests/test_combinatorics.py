@@ -9,6 +9,7 @@ from ruinpaths import (
     ballot_via_recurrence,
     catalan,
     catalan_via_convolution,
+    combinatorics,
 )
 
 # Path counts below were frozen after recounting them with the brute-force
@@ -107,6 +108,19 @@ def test_recurrence_matches_closed_form_small_grid():
 @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=200))
 def test_recurrence_matches_closed_form(k, n):
     assert ballot_via_recurrence(k, n) == ballot_count(k, n)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=60),
+                          st.integers(min_value=0, max_value=60)), max_size=20))
+def test_recurrence_fills_an_empty_table_in_any_call_order(calls):
+    saved = combinatorics._RECURRENCE_ROWS
+    combinatorics._RECURRENCE_ROWS = []
+    try:
+        for k, n in calls:
+            assert ballot_via_recurrence(k, n) == ballot_count(k, n)
+    finally:
+        combinatorics._RECURRENCE_ROWS = saved
 
 
 def test_start_two_counts_are_shifted_catalan():

@@ -1,7 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ruinpaths import (
@@ -115,11 +115,30 @@ def test_serialization_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "2RLLL", "x:RLL", "2:RLX", "2:RL", "0:L", ":"]
+    "text",
+    ["", "2RLLL", "x:RLL", "2:RLX", "2:RL", "0:L", ":",
+     "01:L", "+1:L", " 1:L", "1_0:LLLLLLLLLL", "\u0661:L"],
 )
 def test_serialization_rejects_malformed(text):
     with pytest.raises(ValueError):
         path_from_string(text)
+
+
+def test_negative_start_reaches_the_path_check():
+    with pytest.raises(ValueError, match="^start must be >= 1, got -1$"):
+        path_from_string("-1:L")
+
+
+@given(st.text(alphabet="0123456789+-_ :RL\u0661", max_size=16))
+@example("3:RLLLL")
+@example("01:L")
+@example("3:RLLLLL")
+def test_parsed_text_serializes_back_to_itself(text):
+    try:
+        path = path_from_string(text)
+    except ValueError:
+        return
+    assert path_to_string(path) == text
 
 
 def test_round_trip_over_enumerated_paths():

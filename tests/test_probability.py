@@ -214,6 +214,16 @@ def test_series_near_critical_band_is_two_sided():
         assert not result.converged
 
 
+def test_series_budget_before_tail_start_still_sums_its_terms():
+    # The library keeps the partial sum of a short budget; only the CLI
+    # refuses a budget that cannot certify.
+    result = absorption_series(5, Fraction(3, 5), 1e-12, max_terms=9)
+    assert not result.converged
+    assert result.terms_used == 9
+    assert math.isinf(result.tail_bound)
+    assert absorption_series(5, Fraction(3, 5), 1e-12, max_terms=10).terms_used == 10
+
+
 def test_series_rejects_bad_parameters():
     with pytest.raises(ValueError):
         absorption_series(1, 0.6, 0.0)
