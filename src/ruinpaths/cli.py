@@ -92,6 +92,22 @@ def format_value(value: Any) -> str:
 
 
 def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
+    """Write rows in fmt.  An exact value can run past Python's limit on
+    int-to-str digits (4,300 by default), so the limit is lifted while the
+    rows render and restored afterwards."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # Python before 3.10.7 has no limit
+        _render(rows, fmt, stream)
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        _render(rows, fmt, stream)
+    finally:
+        set_limit(limit)
+
+
+def _render(rows: Sequence[dict[str, Any]], fmt: str, stream: Any) -> None:
     stream = stream if stream is not None else sys.stdout
     columns = list(rows[0])
     if fmt == "json":

@@ -109,32 +109,65 @@ class SeriesEvaluation:
     converged: bool
 
 
+def _first_bounded(k: int, ratio: StepProbability) -> int | float:
+    """First n whose tail bound series_terms reports: tail_start(k), or inf
+    where the ratio r = 4p(1-p) is at least 1 - NEAR_CRITICAL_DELTA."""
+    return tail_start(k) if ratio < 1 - NEAR_CRITICAL_DELTA else math.inf
+
+
+def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int]]:
+    """The series for p = a/b in integers: yields (num_n, b^(2n+k)) with
+    t_n = num_n / b^(2n+k) and num_n = C_k(n) a^n (b-a)^(n+k), for n = 0, 1, ...
+
+    num_n a(b-a) (2n+k)(2n+k+1) is num_{n+1} (n+1)(n+k+1), so each step is
+    an exact integer division.
+    """
+    ab, bb = a * (b - a), b * b
+    num, scale = (b - a) ** k, b**k
+    n = 0
+    while True:
+        yield num, scale
+        num = num * ab * ((2 * n + k) * (2 * n + k + 1)) // ((n + 1) * (n + k + 1))
+        scale *= bb
+        n += 1
+
+
 def series_terms(
     k: int, p: StepProbability
 ) -> Iterator[tuple[StepProbability, StepProbability | None]]:
     """The terms t_0, t_1, ... of sum_n C_k(n) p^n (1-p)^(n+k), without end,
     each paired with its certified bound on the tail after it, or None.
 
-    Terms are built incrementally from the exact ratio
+    Terms follow the exact ratio
     t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
-    arithmetic as p.  The bound t_n r/(1-r), r = 4p(1-p), holds only from
-    tail_start(k) on, so it is None before that; it is None throughout when
-    r >= 1 - NEAR_CRITICAL_DELTA, since there is no useful geometric bound
-    there (terms decay like n^(-3/2) near p = 1/2).
+    arithmetic as p: a Fraction p = a/b runs the integer recurrence over
+    b^(2n+k) that absorption_series sums, and each term and bound is a
+    Fraction view of it; a float p runs the ratio in floats.  The bound
+    t_n r/(1-r), r = 4p(1-p), holds only from tail_start(k) on, so it is
+    None before that; it is None throughout when r >= 1 - NEAR_CRITICAL_DELTA,
+    since there is no useful geometric bound there (terms decay like
+    n^(-3/2) near p = 1/2).
     """
     check_int(k, "k", 1)
     p = check_probability(p)
     q = 1 - p
     pq = p * q
     ratio = 4 * pq
-    certifiable = ratio < 1 - NEAR_CRITICAL_DELTA
-    n0 = tail_start(k)
+    n0 = _first_bounded(k, ratio)
+    if isinstance(p, Fraction):
+        a, b = p.numerator, p.denominator
+        # r/(1-r) = 4a(b-a) / (b-2a)^2
+        lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
+        return (
+            (Fraction(num, scale), Fraction(num * lead, scale * gap) if n >= n0 else None)
+            for n, (num, scale) in enumerate(_exact_terms(k, a, b))
+        )
 
-    def terms() -> Iterator[tuple[StepProbability, StepProbability | None]]:
+    def terms() -> Iterator[tuple[float, float | None]]:
         term = q**k
         n = 0
         while True:
-            yield term, term * ratio / (1 - ratio) if certifiable and n >= n0 else None
+            yield term, term * ratio / (1 - ratio) if n >= n0 else None
             term = term * pq * ((2 * n + k) * (2 * n + k + 1)) / ((n + 1) * (n + k + 1))
             n += 1
 
@@ -151,23 +184,50 @@ def absorption_series(
     """Sum the counting series sum_n C_k(n) p^n (1-p)^(n+k) with a
     certified stopping rule.
 
-    The terms and their tail bounds come from series_terms.  The run stops
-    at the first n whose bound is at most target_tail.  Where no bound is
-    available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to max_terms
-    and is reported as a certified lower bound with converged = False and an
-    infinite tail_bound.
+    The terms and their tail bounds are those of series_terms.  The run
+    stops at the first n whose bound is at most target_tail.  Where no bound
+    is available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to
+    max_terms and is reported as a certified lower bound with converged =
+    False and an infinite tail_bound.
+
+    A Fraction p = a/b is summed in integers over the common denominator
+    b^(2n+k), the recurrence series_terms views as Fractions, and the
+    stopping rule compares integers too, so the one normalisation of the
+    call builds partial_sum and tail_bound at the end.  A float p sums the
+    float terms of series_terms.
     """
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
     check_int(max_terms, "max_terms", 1)
-    terms = series_terms(k, p)
-    total = 0 * p
-    for n, (term, bound) in enumerate(terms):
-        total += term
-        if bound is not None and bound <= target_tail:
-            return SeriesEvaluation(total, n + 1, bound, True)
+    check_int(k, "k", 1)
+    p = check_probability(p)
+    if isinstance(p, float):
+        total = 0.0
+        for n, (term, bound) in enumerate(series_terms(k, p)):
+            total += term
+            if bound is not None and bound <= target_tail:
+                return SeriesEvaluation(total, n + 1, bound, True)
+            if n + 1 >= max_terms:
+                return SeriesEvaluation(total, n + 1, math.inf, False)
+
+    a, b = p.numerator, p.denominator
+    bb = b * b
+    lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
+    n0 = _first_bounded(k, Fraction(lead, bb))
+    # The bound num lead / (b^(2n+k) gap) is at most tn/td exactly when
+    # num lead td <= tn b^(2n+k) gap; an infinite target, which no Fraction
+    # holds, takes td = 0 and so accepts every bound.
+    tn, td = (1, 0) if target_tail == math.inf else Fraction(target_tail).as_integer_ratio()
+    lhs, rhs = lead * td, tn * gap
+    total = 0
+    for n, (num, scale) in enumerate(_exact_terms(k, a, b)):
+        total = total * bb + num
+        if n >= n0 and num * lhs <= rhs * scale:
+            return SeriesEvaluation(
+                Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True
+            )
         if n + 1 >= max_terms:
-            return SeriesEvaluation(total, n + 1, math.inf, False)
+            return SeriesEvaluation(Fraction(total, scale), n + 1, math.inf, False)
 
 
 def verify_three_term(k: int, p: StepProbability) -> bool:

@@ -15,8 +15,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from ruinpaths import cli, combinatorics, paths
+import pytest
+
+from ruinpaths import absorption_series, cli, combinatorics, paths
+from ruinpaths.probability import series_terms
 
 
 def run_cli(*args: str, env_extra: dict[str, str] | None = None):
@@ -153,6 +157,57 @@ def test_prob_series_budget_before_tail_start_fails_fast(capsys):
     assert "k=5" in err and "--max-terms 9" in err and "n=9" in err
     assert cli.main([*argv, "--max-terms", "10"]) == 3
     assert csv_rows(capsys.readouterr().out)[0]["terms_used"] == "10"
+
+
+def last_row(text: str, fmt: str) -> dict[str, str]:
+    if fmt == "csv":
+        return csv_rows(text)[-1]
+    if fmt == "json":
+        payload = json.loads(text)
+        return payload[-1] if isinstance(payload, list) else payload
+    lines = text.splitlines()
+    return dict(zip(lines[0].split(), lines[-1].split()))
+
+
+def parse_long_fraction(text: str) -> Fraction:
+    # Python caps int-to-str conversion at 4,300 digits by default.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_exact_values_past_the_int_digit_limit_are_printed(fmt, capsys):
+    limit = sys.get_int_max_str_digits()
+    p = Fraction(12, 25)
+    # 3,000 terms of 25^(2n+1): the reduced denominator passes 4,300 digits.
+    argv = ["prob", "--k", "1", "--p", "12/25", "--method", "series",
+            "--max-terms", "3000", "--format", fmt]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    expected = absorption_series(1, p, 1e-12, max_terms=3000).partial_sum
+    assert expected.denominator > 10**4300
+    assert parse_long_fraction(last_row(out, fmt)["value"]) == expected
+
+    # A 4,501-digit denominator from the first converge row on.
+    tiny = "1/1" + "0" * 1500
+    assert cli.main(["converge", "--k", "3", "--p", tiny, "--max-terms", "2",
+                     "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    terms = [term for term, _ in islice(series_terms(3, Fraction(tiny)), 3)]
+    assert parse_long_fraction(last_row(out, fmt)["partial_sum"]) == sum(terms)
+
+    assert sys.get_int_max_str_digits() == limit
+    # The limit still guards parsing the probability itself.
+    assert cli.main(["prob", "--k", "1", "--p", "1/" + "7" * 4400, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Exceeds the limit" in err
 
 
 def test_simulate_deterministic_runs():

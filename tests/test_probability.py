@@ -1,9 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruinpaths import (
@@ -260,6 +261,108 @@ def test_series_terms_bound_exactly_where_certified(k, p):
 def test_series_partial_sum_never_exceeds_exact_value(p, k):
     result = absorption_series(k, p, 1e-6, max_terms=400)
     assert result.partial_sum <= absorption_exact(k, p)
+
+
+def reference_series(k, p, target_tail, max_terms):
+    """absorption_series summed one Fraction term at a time, each term
+    C_k(n) p^n (1-p)^(n+k) built from math.comb."""
+    p = Fraction(p)
+    q = 1 - p
+    ratio = 4 * p * q
+    bounded_from = tail_start(k) if ratio < 1 - NEAR_CRITICAL_DELTA else math.inf
+    total = Fraction(0)
+    for n in range(max_terms):
+        term = Fraction(k * math.comb(2 * n + k, n), 2 * n + k) * p**n * q ** (n + k)
+        total += term
+        if n >= bounded_from:
+            bound = term * ratio / (1 - ratio)
+            if bound <= target_tail:
+                return total, n + 1, bound, True
+    return total, max_terms, math.inf, False
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=2**20).flatmap(
+        lambda den: st.integers(min_value=0, max_value=den).map(
+            lambda num: Fraction(num, den)
+        )
+    ),
+    st.one_of(
+        st.floats(min_value=1e-300, max_value=10.0),
+        st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**40)),
+        st.just(math.inf),
+    ),
+    st.integers(min_value=1, max_value=500),
+)
+@example(5, Fraction(15, 28), 1e-12, 500)
+@example(5, Fraction(23, 43), 1e-12, 500)
+@example(3, Fraction(0), 1e-12, 10)
+@example(3, Fraction(1), 1e-300, 10)
+@example(2, 0, Fraction(1, 10**12), 5)
+@example(2, 1, math.inf, 5)
+@example(1, Fraction(1, 3), 1e-12, 1)
+@example(7, Fraction(2, 5), math.inf, 500)
+@example(1, Fraction(1, 2), math.inf, 50)
+# Targets equal to the first bound, 9/4 and 81/160: the rule stops at n = 0.
+@example(1, Fraction(1, 4), 2.25, 5)
+@example(1, Fraction(1, 10), Fraction(81, 160), 5)
+def test_exact_series_equals_term_by_term_fraction_sum(k, p, target_tail, max_terms):
+    result = absorption_series(k, p, target_tail, max_terms=max_terms)
+    assert isinstance(result.partial_sum, Fraction)
+    assert (result.partial_sum, result.terms_used, result.tail_bound, result.converged) \
+        == reference_series(k, p, target_tail, max_terms)
+
+
+# absorption_series on the acceptance-criterion-8 grid (target 10^-12), as
+# the Fraction-by-Fraction summation before the integer kernel computed it:
+# terms used per p, and a SHA-256 over the hex numerator and denominator of
+# every partial_sum and tail_bound in the row.
+SERIES_BAND = (
+    Fraction(1, 10),
+    Fraction(1, 4),
+    Fraction(2, 5),
+    Fraction(9, 20),
+    Fraction(11, 20),
+    Fraction(3, 5),
+    Fraction(3, 4),
+    Fraction(9, 10),
+)
+PINNED_SERIES = [
+    (1, (23, 76, 501, 1960, 1942, 492, 72, 21),
+     "e9de845470464fc007916ba114fc0c6148613c784fb11f55ea58a50ccff3e8f0"),
+    (2, (24, 79, 521, 2033, 1996, 503, 72, 20),
+     "d426fc99f361b86a628dcb04be7c54a90bf6222fcbcc78cb4561eceaefdae212"),
+    (3, (25, 82, 535, 2079, 2024, 507, 71, 19),
+     "29dee1b2ecc305762c32206772f4bd94b714856844384a57fa9d99f0d897bbbc"),
+    (4, (25, 84, 545, 2115, 2040, 508, 70, 17),
+     "2eae5c753e005d387c823909be2d5d850274715b803bef201bab9262173b0691"),
+    (5, (26, 86, 554, 2144, 2051, 508, 68, 16),
+     "5c3d36071f208f62d3c36d54b81e185f1480299b11805c4b7aabda5a4dc83937"),
+    (6, (27, 88, 563, 2170, 2058, 507, 66, 15),
+     "7383ea77aebd317d34895692ce260732b75f3cfa9852b1a2f7389f79d2f9048c"),
+    (7, (27, 90, 570, 2193, 2063, 505, 64, 21),
+     "4cec04afccf2acc17df812be72c3c0d45645b7fa10380a4c4f37a2dc3d2f486d"),
+    (8, (28, 91, 577, 2214, 2065, 503, 62, 28),
+     "275659017d3b84e67a9161c73209909a6258686606146bc3653a43a402c09ad3"),
+    (9, (36, 93, 584, 2234, 2066, 500, 60, 36),
+     "fafd532dad305900553d51f06d5cb5df4bf0c3e2f3080816d73a6f7ff0872a15"),
+    (10, (45, 94, 591, 2252, 2066, 497, 58, 45),
+     "0fa9018386b6cd02788cdb0a2f9ed114f698785fb418899d20affdcdcfed5968"),
+]
+
+
+@pytest.mark.parametrize("k, terms, digest", PINNED_SERIES)
+def test_exact_series_outputs_are_pinned(k, terms, digest):
+    results = [absorption_series(k, p, Fraction(1, 10**12)) for p in SERIES_BAND]
+    assert tuple(r.terms_used for r in results) == terms
+    text = ",".join(
+        f"{x.numerator:x}/{x.denominator:x}"
+        for r in results
+        for x in (r.partial_sum, r.tail_bound)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
