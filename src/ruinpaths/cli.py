@@ -163,7 +163,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
         # power law.
         row["value"] = probability.absorption_via_gf(p) ** args.k
     elif method == "series":
-        if args.tail <= 0:
+        if not args.tail > 0:
             raise ValueError(f"--tail must be > 0, got {args.tail}")
         check_int(args.max_terms, "--max-terms", 1)
         # No tail bound exists before n0, so a budget ending there cannot converge.
@@ -205,13 +205,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
     check_int(args.k, "k", 1)
     check_int(args.max_terms, "--max-terms", 0)
     p = parse_probability(args.p)
-    rows: list[dict[str, Any]] = []
-    total = 0 * p
-    terms = probability.series_terms(args.k, p)
-    for n, (term, bound) in zip(range(args.max_terms + 1), terms):
-        total += term
-        rows.append({"n": n, "term": term, "partial_sum": total,
-                     "tail_bound": "n/a" if bound is None else bound})
+    rows = [{"n": n, "term": term, "partial_sum": total,
+             "tail_bound": "n/a" if bound is None else bound}
+            for n, (term, total, bound) in zip(range(args.max_terms + 1),
+                                               probability.series_terms(args.k, p))]
     emit(rows, args.format)
     return EXIT_OK
 
@@ -434,13 +431,19 @@ def _suite_bounds(suite: str, args: argparse.Namespace) -> Bounds:
         raise ValueError(too_small)
     if "max_len" in bounds and bounds["max_len"] > args.cap:
         raise ValueError(f"--max-len {bounds['max_len']} exceeds enumeration cap {args.cap}")
+    if suite == "bijections" and 2 * bounds["max_n"] + 3 > args.cap:
+        # The shift identity's start-1 paths, 2n+3 long, pass the cap first.
+        length = args.cap + 1 + args.cap % 2
+        raise ValueError(f"path length 2n+k = {length} exceeds enumeration cap {args.cap}")
     return {**bounds, "cap": args.cap}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Every selected suite's bounds are checked before the first cell runs.
+    suite_bounds = {suite: _suite_bounds(suite, args)
+                    for suite in (SUITES if args.suite == "all" else (args.suite,))}
     rows: list[dict[str, Any]] = []
-    for suite in SUITES if args.suite == "all" else (args.suite,):
-        bounds = _suite_bounds(suite, args)
+    for suite, bounds in suite_bounds.items():
         for entry_suite, identity, tested, cells in IDENTITIES:
             if entry_suite == suite:
                 failure = next((label for label, ok in cells(bounds) if not ok), "")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator, Union
 
 from ._validate import check_int, check_probability
@@ -98,9 +99,8 @@ class SeriesEvaluation:
     """Truncated series result with its certificate.
 
     partial_sum is always a lower bound on the true probability (every
-    term is nonnegative); when converged is true, partial_sum + tail_bound
-    is an upper bound.  tail_bound is math.inf exactly when the geometric
-    certificate was unavailable, and then converged is false.
+    term is nonnegative).  When converged is true, partial_sum + tail_bound
+    is an upper bound; tail_bound is math.inf exactly when converged is false.
     """
 
     partial_sum: StepProbability
@@ -115,33 +115,33 @@ def _first_bounded(k: int, ratio: StepProbability) -> int | float:
     return tail_start(k) if ratio < 1 - NEAR_CRITICAL_DELTA else math.inf
 
 
-def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int]]:
-    """The series for p = a/b in integers: yields (num_n, b^(2n+k)) with
-    t_n = num_n / b^(2n+k) and num_n = C_k(n) a^n (b-a)^(n+k), for n = 0, 1, ...
+def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """The series for p = a/b in integers: yields (num_n, S_n, b^(2n+k)), the
+    term t_n = num_n / b^(2n+k), num_n = C_k(n) a^n (b-a)^(n+k), and the partial
+    sum t_0 + ... + t_n = S_n / b^(2n+k), S_n = S_{n-1} b^2 + num_n.
 
     num_n a(b-a) (2n+k)(2n+k+1) is num_{n+1} (n+1)(n+k+1), so each step is
     an exact integer division.
     """
     ab, bb = a * (b - a), b * b
-    num, scale = (b - a) ** k, b**k
-    n = 0
-    while True:
-        yield num, scale
+    num, total, scale = (b - a) ** k, 0, b**k
+    for n in count():
+        total = total * bb + num
+        yield num, total, scale
         num = num * ab * ((2 * n + k) * (2 * n + k + 1)) // ((n + 1) * (n + k + 1))
         scale *= bb
-        n += 1
 
 
 def series_terms(
     k: int, p: StepProbability
-) -> Iterator[tuple[StepProbability, StepProbability | None]]:
-    """The terms t_0, t_1, ... of sum_n C_k(n) p^n (1-p)^(n+k), without end,
-    each paired with its certified bound on the tail after it, or None.
+) -> Iterator[tuple[StepProbability, StepProbability, StepProbability | None]]:
+    """The rows (t_n, t_0 + ... + t_n, bound on the tail after t_n or None)
+    of sum_n C_k(n) p^n (1-p)^(n+k), without end, as `converge` prints them.
 
     Terms follow the exact ratio
     t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
-    arithmetic as p: a Fraction p = a/b runs the integer recurrence over
-    b^(2n+k) that absorption_series sums, and each term and bound is a
+    arithmetic as p: a Fraction p = a/b runs the integer kernel over b^(2n+k)
+    that absorption_series reads, partial sum included, and each row is a
     Fraction view of it; a float p runs the ratio in floats.  The bound
     t_n r/(1-r), r = 4p(1-p), holds only from tail_start(k) on, so it is
     None before that; it is None throughout when r >= 1 - NEAR_CRITICAL_DELTA,
@@ -159,17 +159,17 @@ def series_terms(
         # r/(1-r) = 4a(b-a) / (b-2a)^2
         lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
         return (
-            (Fraction(num, scale), Fraction(num * lead, scale * gap) if n >= n0 else None)
-            for n, (num, scale) in enumerate(_exact_terms(k, a, b))
+            (Fraction(num, scale), Fraction(total, scale),
+             Fraction(num * lead, scale * gap) if n >= n0 else None)
+            for n, (num, total, scale) in enumerate(_exact_terms(k, a, b))
         )
 
-    def terms() -> Iterator[tuple[float, float | None]]:
-        term = q**k
-        n = 0
-        while True:
-            yield term, term * ratio / (1 - ratio) if n >= n0 else None
+    def terms() -> Iterator[tuple[float, float, float | None]]:
+        term, total = q**k, 0.0
+        for n in count():
+            total += term
+            yield term, total, term * ratio / (1 - ratio) if n >= n0 else None
             term = term * pq * ((2 * n + k) * (2 * n + k + 1)) / ((n + 1) * (n + k + 1))
-            n += 1
 
     return terms()
 
@@ -184,17 +184,17 @@ def absorption_series(
     """Sum the counting series sum_n C_k(n) p^n (1-p)^(n+k) with a
     certified stopping rule.
 
-    The terms and their tail bounds are those of series_terms.  The run
-    stops at the first n whose bound is at most target_tail.  Where no bound
-    is available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to
+    The terms, partial sums and tail bounds are those of series_terms.  The
+    run stops at the first n whose bound is at most target_tail.  Where no
+    bound is available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to
     max_terms and is reported as a certified lower bound with converged =
     False and an infinite tail_bound.
 
-    A Fraction p = a/b is summed in integers over the common denominator
-    b^(2n+k), the recurrence series_terms views as Fractions, and the
+    A Fraction p = a/b reads the integer kernel that series_terms views as
+    Fractions: its partial sum stays an integer over b^(2n+k), and the
     stopping rule compares integers too, so the one normalisation of the
-    call builds partial_sum and tail_bound at the end.  A float p sums the
-    float terms of series_terms.
+    call builds partial_sum and tail_bound at the end.  A float p reads the
+    float rows of series_terms.
     """
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
@@ -202,26 +202,21 @@ def absorption_series(
     check_int(k, "k", 1)
     p = check_probability(p)
     if isinstance(p, float):
-        total = 0.0
-        for n, (term, bound) in enumerate(series_terms(k, p)):
-            total += term
+        for n, (_, total, bound) in enumerate(series_terms(k, p)):
             if bound is not None and bound <= target_tail:
                 return SeriesEvaluation(total, n + 1, bound, True)
             if n + 1 >= max_terms:
                 return SeriesEvaluation(total, n + 1, math.inf, False)
 
     a, b = p.numerator, p.denominator
-    bb = b * b
     lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
-    n0 = _first_bounded(k, Fraction(lead, bb))
+    n0 = _first_bounded(k, Fraction(lead, b * b))
     # The bound num lead / (b^(2n+k) gap) is at most tn/td exactly when
     # num lead td <= tn b^(2n+k) gap; an infinite target, which no Fraction
     # holds, takes td = 0 and so accepts every bound.
     tn, td = (1, 0) if target_tail == math.inf else Fraction(target_tail).as_integer_ratio()
     lhs, rhs = lead * td, tn * gap
-    total = 0
-    for n, (num, scale) in enumerate(_exact_terms(k, a, b)):
-        total = total * bb + num
+    for n, (num, total, scale) in enumerate(_exact_terms(k, a, b)):
         if n >= n0 and num * lhs <= rhs * scale:
             return SeriesEvaluation(
                 Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True

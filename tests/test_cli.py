@@ -159,6 +159,13 @@ def test_prob_series_budget_before_tail_start_fails_fast(capsys):
     assert csv_rows(capsys.readouterr().out)[0]["terms_used"] == "10"
 
 
+@pytest.mark.parametrize("tail", ["nan", "-1", "0"])
+def test_prob_series_bad_tail_names_the_flag(tail, capsys):
+    argv = ["prob", "--k", "1", "--p", "0.6", "--method", "series", "--tail", tail]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --tail must be > 0, got {float(tail)}\n")
+
+
 def last_row(text: str, fmt: str) -> dict[str, str]:
     if fmt == "csv":
         return csv_rows(text)[-1]
@@ -200,7 +207,7 @@ def test_exact_values_past_the_int_digit_limit_are_printed(fmt, capsys):
                      "--format", fmt]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    terms = [term for term, _ in islice(series_terms(3, Fraction(tiny)), 3)]
+    terms = [term for term, _, _ in islice(series_terms(3, Fraction(tiny)), 3)]
     assert parse_long_fraction(last_row(out, fmt)["partial_sum"]) == sum(terms)
 
     assert sys.get_int_max_str_digits() == limit
@@ -316,6 +323,31 @@ def test_verify_cap_applies_only_to_suites_with_a_length_bound(capsys):
         expected = capsys.readouterr()
         assert cli.main([*argv, "--cap", "-5"]) == 0
         assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv, error", [
+    # The shift identity enumerates start-1 paths 2n+3 long: 27 at n = 12.
+    (["bijections", "--max-n", "12"], "path length 2n+k = 27 exceeds enumeration cap 26"),
+    (["bijections", "--max-n", "10", "--cap", "21", "--max-len", "20"],
+     "path length 2n+k = 23 exceeds enumeration cap 21"),
+    (["all", "--max-n", "12"], "path length 2n+k = 27 exceeds enumeration cap 26"),
+    (["all", "--max-len", "30"], "--max-len 30 exceeds enumeration cap 26"),
+    # The --max-len check still comes first.
+    (["bijections", "--max-n", "12", "--max-len", "30"],
+     "--max-len 30 exceeds enumeration cap 26"),
+])
+def test_verify_rejects_bounds_before_any_cell_runs(argv, error, monkeypatch, capsys):
+    calls = []
+    for module, name in ((paths, "enumerate_first_passage"),
+                         (combinatorics, "ballot_via_recurrence")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert calls == []
 
 
 def test_verify_failure_returns_1(monkeypatch, capsys):

@@ -250,11 +250,43 @@ def test_series_rejects_bad_parameters():
 def test_series_terms_bound_exactly_where_certified(k, p):
     ratio = 4 * (p * (1 - p))
     certifiable = ratio < 1 - NEAR_CRITICAL_DELTA
-    for n, (term, bound) in enumerate(islice(series_terms(k, p), 60)):
+    for n, (term, _, bound) in enumerate(islice(series_terms(k, p), 60)):
         if n < tail_start(k) or not certifiable:
             assert bound is None
         else:
             assert bound == term * ratio / (1 - ratio)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.one_of(
+        st.integers(min_value=1, max_value=2**16).flatmap(
+            lambda den: st.integers(min_value=0, max_value=den).map(
+                lambda num: Fraction(num, den)
+            )
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.one_of(st.floats(min_value=1e-300, max_value=10.0), st.just(math.inf)),
+    st.integers(min_value=1, max_value=80),
+)
+# A budget that ends past tail_start with every bound above the target.
+@example(1, Fraction(3, 5), 1e-30, 3)
+@example(2, 0.5, 1e-12, 80)
+def test_series_rows_carry_the_partial_sums_absorption_series_returns(
+    k, p, target_tail, max_terms
+):
+    rows = list(islice(series_terms(k, p), 80))
+    total = 0 * p
+    for term, partial_sum, _ in rows:
+        total += term
+        assert type(partial_sum) is type(total)
+        assert partial_sum == total
+    result = absorption_series(k, p, target_tail, max_terms=max_terms)
+    _, partial_sum, bound = rows[result.terms_used - 1]
+    assert result.partial_sum == partial_sum
+    assert result.tail_bound == (bound if result.converged else math.inf)
 
 
 @given(rational_p_open_interval(), st.integers(min_value=1, max_value=8))
