@@ -1,0 +1,77 @@
+"""Record one side of a BENCH_<pr>.json file from perfbench runs.
+
+    python3 tools/bench_record.py --out BENCH_11.json --side change
+    python3 tools/bench_record.py --out BENCH_11.json --side parent --tree ../parent
+
+In the checkout --tree (default: the one this file sits in) it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
+
+for each of the four workloads, then one `--workload cli --trace 1` run.
+Under --side of --out it stores each run's result line (the last line of
+its stdout), the machine and host_loop_ms of its record, and the CLI
+layer metrics cli.import_ms, cli.python_ms and cli.startup_ms from the
+traced run.  Other sides already in --out are kept, so that the parent and
+the change of one commit can be recorded into one file, one after the other.
+
+The record's machine names the checkout's HEAD commit and hashes its src/
+tree, so uncommitted sources show in source_sha256 only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("mc", "series", "oracle", "cli")
+CLI_LAYERS = ("cli.import_ms", "cli.python_ms", "cli.startup_ms")
+SECONDS = 25
+
+
+def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run: its result line with the record's machine and
+    host-speed gauge beside it."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(command)} exited with {proc.returncode}:\n{proc.stderr}")
+    *_, record_line, result_line = proc.stdout.splitlines()
+    record = json.loads(record_line)["record"]
+    return {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "result": json.loads(result_line),
+        "machine": record["machine"],
+        "host_loop_ms": record["host_loop_ms"],
+    }
+
+
+def record_side(tree: Path, seed: int) -> dict:
+    runs = [perfbench(tree, workload, seed, 0) for workload in WORKLOADS]
+    traced = perfbench(tree, "cli", seed, 1)
+    layers = {name: traced["result"]["metrics"][name] for name in CLI_LAYERS}
+    return {"runs": runs + [traced], "layers": layers}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="the BENCH_<pr>.json to update")
+    parser.add_argument("--side", required=True, help='key to record under, e.g. "parent"')
+    parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to benchmark")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    side = record_side(args.tree.resolve(), args.seed)
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench[args.side] = side
+    args.out.write_text(json.dumps(bench, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
