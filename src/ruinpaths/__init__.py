@@ -41,29 +41,16 @@ from .probability import (
     tail_start,
     verify_three_term,
 )
+from .simulator import (
+    Absorbed,
+    AbsorptionEstimate,
+    Censored,
+    WalkConfig,
+    estimate_absorption,
+    run_walk,
+)
 
 __version__ = "0.1.0"
-
-# The simulator is the only module that needs numpy, whose import costs more
-# than the rest of the package; its names load on first access (PEP 562).
-_SIMULATOR_NAMES = frozenset({
-    "Absorbed",
-    "AbsorptionEstimate",
-    "Censored",
-    "WalkConfig",
-    "estimate_absorption",
-    "run_walk",
-})
-
-
-def __getattr__(name: str) -> object:
-    if name not in _SIMULATOR_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulator
-
-    value = globals()[name] = getattr(simulator, name)
-    return value
-
 
 __all__ = [
     "BallotCount",

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from . import combinatorics, paths, probability
+from . import combinatorics, paths, probability, simulator
 from ._validate import check_int
 
 ENV_SEED = "RUINPATHS_SEED"
@@ -183,8 +183,6 @@ def cmd_prob(args: argparse.Namespace) -> int:
     else:  # simulate
         check_int(args.trials, "--trials", 1)
         seed = resolve_seed(args.seed)
-        from . import simulator  # loads numpy, which no other route needs
-
         config = simulator.WalkConfig(
             k=args.k, p=p, max_steps=args.max_steps, trials=args.trials, seed=seed
         )

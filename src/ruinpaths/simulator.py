@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._validate import check_int, check_probability
 from .probability import StepProbability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 128
 _BLOCK_THRESHOLD = 64
@@ -42,6 +44,10 @@ def _check_walk(k: int, p: StepProbability, max_steps: int) -> None:
     if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < k:
         # Absorption takes at least k steps; a smaller horizon is vacuous.
         raise ValueError(f"max_steps must be an integer >= k = {k}, got {max_steps!r}")
+    if max_steps > 2**63:
+        # A block jump draws Binomial(pos - 1, p) with pos - 1 < max_steps,
+        # and numpy's binomial takes a signed 64-bit count.
+        raise ValueError(f"max_steps must be at most 2**63, got {max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,8 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     (config.seed, i), so the result is bit-identical across runs and
     independent of how trials would be partitioned across workers.
     """
+    import numpy as np  # numpy loads here, at the first estimate; no other route needs it
+
     p = float(config.p)
     # A uint64 key array: numpy would cast a list holding a seed >= 2**63
     # through float64.

@@ -44,8 +44,11 @@ def test_import_does_not_load_numpy():
         (["converge", "--k", "2", "--p", "1/4", "--max-terms", "5"], 0, False),
         (["dump", "--k", "2", "--n", "3"], 0, False),
         (["verify", "probability"], 0, False),
-        # Bad input is refused before the simulator loads.
+        # Bad input is refused before numpy loads.
         (["simulate", "--k", "1", "--p", "0.6", "--trials", "0"], 2, False),
+        (["simulate", "--k", "1", "--p", "0.6", "--max-steps", "0"], 2, False),
+        (["simulate", "--k", "1", "--p", "0.6", "--seed", "-1"], 2, False),
+        (["simulate", "--k", "1", "--p", "0.6", "--max-steps", str(2**63 + 1)], 2, False),
         (["simulate", "--k", "1", "--p", "0.6", "--trials", "10", "--seed", "1"], 0, True),
         (["prob", "--k", "1", "--p", "0.6", "--method", "simulate", "--trials", "10",
           "--seed", "1"], 0, True),
@@ -60,6 +63,18 @@ def test_only_simulation_loads_numpy(argv, status, loads_numpy):
         "print(status, 'numpy' in sys.modules)\n"
     )
     assert fresh_last_line(code) == f"{status} {loads_numpy}"
+
+
+def test_walk_config_leaves_numpy_unloaded_until_an_estimate():
+    code = (
+        "import sys\n"
+        "from ruinpaths import WalkConfig, estimate_absorption, run_walk\n"
+        "config = WalkConfig(k=1, p=0.6, max_steps=100, trials=10, seed=1)\n"
+        "before = 'numpy' in sys.modules\n"
+        "estimate_absorption(config)\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_last_line(code) == "False True"
 
 
 def test_simulator_names_resolve_to_the_simulator_module():

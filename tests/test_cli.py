@@ -378,6 +378,18 @@ def test_verify_bijections_catches_reordered_partition(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    ("k", "p", "max_steps"), [("1", "0.6", str(10**30)), (str(10**23), "0.5", str(10**23))]
+)
+def test_simulate_horizon_past_two_to_the_63_is_usage_error(k, p, max_steps, capsys):
+    argv = ["simulate", "--k", k, "--p", p, "--max-steps", max_steps, "--trials", "3",
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: max_steps must be at most 2**63, got {max_steps}\n"
+
+
 def test_unknown_method_is_usage_error():
     result = run_cli("prob", "--k", "1", "--p", "0.5", "--method", "nope")
     assert result.returncode == 2

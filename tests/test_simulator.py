@@ -37,11 +37,25 @@ def substream(seed: int, trial: int) -> np.random.Generator:
         dict(k=1, p=0.5, max_steps=10, trials=1, seed=2**64),
         dict(k=1, p=0.5, max_steps=10, trials=1, seed=True),
         dict(k=1, p=0.5, max_steps=True, trials=1, seed=0),
+        dict(k=1, p=0.5, max_steps=2**63 + 1, trials=1, seed=0),  # horizon above 2**63
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         WalkConfig(**kwargs)
+
+
+# A block jump draws numpy's Binomial(pos - 1, p), whose count is a signed
+# 64-bit integer, and pos - 1 < max_steps; so 2**63 is the largest horizon.
+
+def test_horizon_of_two_to_the_63_is_accepted():
+    config = WalkConfig(k=1, p=0.6, max_steps=2**63, trials=50, seed=1)
+    shorter = WalkConfig(k=1, p=0.6, max_steps=10_000, trials=50, seed=1)
+    estimate = estimate_absorption(config)
+    assert estimate.trials == 50
+    assert estimate.absorbed >= estimate_absorption(shorter).absorbed
+    # The largest block this horizon allows: b = 2**63 - 1 at the first jump.
+    assert run_walk(2**63, 0.6, 2**63, substream(0, 0)) == Censored()
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +74,8 @@ def test_walk_rejects_bad_input():
         run_walk(2, 0.5, 1, substream(0, 0))
     with pytest.raises(ValueError):
         run_walk(2, -0.1, 100, substream(0, 0))
+    with pytest.raises(ValueError, match=r"max_steps must be at most 2\*\*63"):
+        run_walk(1, 0.6, 2**63 + 1, substream(0, 0))
 
 
 def test_walk_accepts_fraction_probability():

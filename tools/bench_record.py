@@ -14,6 +14,13 @@ layer metrics cli.import_ms, cli.python_ms and cli.startup_ms from the
 traced run.  Other sides already in --out are kept, so that the parent and
 the change of one commit can be recorded into one file, one after the other.
 
+Each side also records dont_write_bytecode: whether PYTHONDONTWRITEBYTECODE
+is set in the environment the perfbench children inherit.  When it is, no
+.pyc is written or reused, so every fresh CLI request compiles all of
+src/ruinpaths again: about 1,470 lines, which compile() turns into code in
+10-14 ms on a 2-CPU host, over half of it for cli.py.  Start-up numbers
+from sides that differ on this setting cannot be compared.
+
 The record's machine names the checkout's HEAD commit and hashes its src/
 tree, so uncommitted sources show in source_sha256 only.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +64,10 @@ def record_side(tree: Path, seed: int) -> dict:
     runs = [perfbench(tree, workload, seed, 0) for workload in WORKLOADS]
     traced = perfbench(tree, "cli", seed, 1)
     layers = {name: traced["result"]["metrics"][name] for name in CLI_LAYERS}
-    return {"runs": runs + [traced], "layers": layers}
+    # Python reads any non-empty value as set.
+    dont_write_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    return {"runs": runs + [traced], "layers": layers,
+            "dont_write_bytecode": dont_write_bytecode}
 
 
 def main(argv: list[str] | None = None) -> int:
