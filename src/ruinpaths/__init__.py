@@ -31,7 +31,6 @@ from .paths import (
 )
 from .probability import (
     DEFAULT_MAX_TERMS,
-    NEAR_CRITICAL_DELTA,
     SeriesEvaluation,
     StepProbability,
     absorption_exact,
@@ -72,7 +71,6 @@ __all__ = [
     "serialize_all",
     "shift_bijection_k2",
     "DEFAULT_MAX_TERMS",
-    "NEAR_CRITICAL_DELTA",
     "SeriesEvaluation",
     "StepProbability",
     "absorption_exact",

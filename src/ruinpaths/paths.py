@@ -131,6 +131,7 @@ def enumerate_first_passage(
     """
     check_int(k, "k", 1)
     check_int(n, "n", 0)
+    check_int(cap, "cap", 0)
     length = 2 * n + k
     if length > cap:
         raise EnumerationCapError(

@@ -25,7 +25,6 @@ from ._validate import check_int, check_probability
 StepProbability = Union[Fraction, float]
 
 DEFAULT_MAX_TERMS = 100_000
-NEAR_CRITICAL_DELTA = 0.005
 THREE_TERM_TOLERANCE = 1e-12
 
 
@@ -109,10 +108,11 @@ class SeriesEvaluation:
     converged: bool
 
 
-def _first_bounded(k: int, ratio: StepProbability) -> int | float:
-    """First n whose tail bound series_terms reports: tail_start(k), or inf
-    where the ratio r = 4p(1-p) is at least 1 - NEAR_CRITICAL_DELTA."""
-    return tail_start(k) if ratio < 1 - NEAR_CRITICAL_DELTA else math.inf
+def _first_bounded(k: int, slack: StepProbability) -> int | float:
+    """First n whose tail bound series_terms reports, given slack = 1 - r up
+    to a positive factor, r = 4p(1-p): tail_start(k) wherever r < 1, and inf
+    (no bound) at r = 1, that is at p = 1/2."""
+    return tail_start(k) if slack > 0 else math.inf
 
 
 def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
@@ -144,16 +144,15 @@ def series_terms(
     that absorption_series reads, partial sum included, and each row is a
     Fraction view of it; a float p runs the ratio in floats.  The bound
     t_n r/(1-r), r = 4p(1-p), holds only from tail_start(k) on, so it is
-    None before that; it is None throughout when r >= 1 - NEAR_CRITICAL_DELTA,
-    since there is no useful geometric bound there (terms decay like
-    n^(-3/2) near p = 1/2).
+    None before that; at r = 1 (p = 1/2, where terms decay like n^(-3/2))
+    there is none, so it is None throughout.
     """
     check_int(k, "k", 1)
     p = check_probability(p)
     q = 1 - p
     pq = p * q
     ratio = 4 * pq
-    n0 = _first_bounded(k, ratio)
+    n0 = _first_bounded(k, 1 - ratio)
     if isinstance(p, Fraction):
         a, b = p.numerator, p.denominator
         # r/(1-r) = 4a(b-a) / (b-2a)^2
@@ -185,10 +184,10 @@ def absorption_series(
     certified stopping rule.
 
     The terms, partial sums and tail bounds are those of series_terms.  The
-    run stops at the first n whose bound is at most target_tail.  Where no
-    bound is available (4p(1-p) >= 1 - NEAR_CRITICAL_DELTA) the sum runs to
-    max_terms and is reported as a certified lower bound with converged =
-    False and an infinite tail_bound.
+    run stops at the first n whose bound is at most target_tail.  A run that
+    ends at max_terms first (always so at p = 1/2, where no bound exists) is
+    reported as a certified lower bound with converged = False and an
+    infinite tail_bound.
 
     A Fraction p = a/b reads the integer kernel that series_terms views as
     Fractions: its partial sum stays an integer over b^(2n+k), and the
@@ -210,7 +209,7 @@ def absorption_series(
 
     a, b = p.numerator, p.denominator
     lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
-    n0 = _first_bounded(k, Fraction(lead, b * b))
+    n0 = _first_bounded(k, gap)
     # The bound num lead / (b^(2n+k) gap) is at most tn/td exactly when
     # num lead td <= tn b^(2n+k) gap; an infinite target, which no Fraction
     # holds, takes td = 0 and so accepts every bound.

@@ -43,8 +43,10 @@ CASES = [
     (lambda start: LatticePath(start, ()), "start", 1),
     (lambda k: enumerate_first_passage(k, 1), "k", 1),
     (lambda n: enumerate_first_passage(1, n), "n", 0),
+    (lambda cap: enumerate_first_passage(1, 1, cap=cap), "cap", 0),
     (lambda k: partition_by_first_step(k, 1), "k", 3),
     (lambda n: partition_by_first_step(3, n), "n", 0),
+    (lambda cap: partition_by_first_step(3, 1, cap=cap), "cap", 0),
     (lambda k: WalkConfig(k=k, p=0.5, max_steps=10, trials=1, seed=0), "k", 1),
     (lambda t: WalkConfig(k=1, p=0.5, max_steps=10, trials=t, seed=0), "trials", 1),
     (_walk, "k", 1),

@@ -71,8 +71,9 @@ COMMANDS: list[tuple[list[str], dict[str, str]]] = [
         ["converge", "--k", "2", "--p", "0", "--max-terms", "3", "--format", "json"],
         ["converge", "--k", "3", "--p", "1", "--max-terms", "2"],
         ["converge", "--k", "1", "--p", "0.3", "--max-terms", "0"],
-        # Near-critical: 4p(1-p) lies within NEAR_CRITICAL_DELTA of 1, so no
-        # row carries a tail bound, as absorption_series certifies none.
+        # Near-critical: 4p(1-p) is just below 1, so rows carry tail bounds
+        # from tail_start(k) on (n = 0 at k = 2, n = 2 at k = 3), where
+        # absorption_series would certify; only p = 1/2 has none.
         *_each_format("converge", "--k", "2", "--p", "0.499", "--max-terms", "5"),
         ["converge", "--k", "3", "--p", "51/100", "--max-terms", "4", "--format", "csv"],
         *_each_format("dump", "--k", "2", "--n", "3"),
@@ -219,12 +220,17 @@ def test_cli_output_matches_golden(index):
 
 
 def main() -> None:
+    """Rewrite the golden file and print the argv of every command whose
+    record changed, so that an intended output change can be reviewed."""
+    previous = {_case_id((g["argv"], g["env"])): g for g in _load()} if GOLDEN.exists() else {}
     records = []
     for argv, env in COMMANDS:
         record = run(argv, env)
         if record["code"] == cli.EXIT_OK and "simulate" in argv and "--help" not in argv:
             record["stdout"] = None
         records.append(record)
+        if previous.get(_case_id((argv, env))) != record:
+            print("changed:", _case_id((argv, env)))
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} commands to {GOLDEN}", file=sys.stderr)
 

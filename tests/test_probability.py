@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruinpaths import (
-    NEAR_CRITICAL_DELTA,
     absorption_exact,
     absorption_series,
     absorption_via_gf,
@@ -215,6 +214,35 @@ def test_series_near_critical_band_is_two_sided():
         assert not result.converged
 
 
+@pytest.mark.parametrize(
+    "p, k, terms",
+    [
+        (Fraction(47, 100), 1, 5_319),
+        (Fraction(47, 100), 4, 5_722),
+        (Fraction(53, 100), 1, 5_288),
+        (Fraction(53, 100), 4, 5_597),
+        (Fraction(12, 25), 1, 11_733),
+        (Fraction(12, 25), 4, 12_605),
+    ],
+)
+def test_series_certifies_exact_p_near_one_half(p, k, terms):
+    # 4p(1-p) is 0.9964 at 47/100 and 53/100 and 0.9984 at 12/25: below 1,
+    # so the geometric bound certifies, late but well inside the budget.
+    result = absorption_series(k, p, 1e-12, max_terms=13_000)
+    assert result.converged and result.tail_bound <= 1e-12
+    assert result.terms_used == terms
+    assert result.partial_sum <= absorption_exact(k, p) <= result.partial_sum + result.tail_bound
+
+
+@pytest.mark.parametrize("p", [0.47, 0.48, 0.49, 0.51, 0.52, 0.53])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_series_certifies_float_p_near_one_half(p, k):
+    result = absorption_series(k, p, 1e-12)
+    assert result.converged and result.tail_bound <= 1e-12
+    exact = absorption_exact(k, Fraction(p))
+    assert result.partial_sum <= exact <= result.partial_sum + result.tail_bound
+
+
 def test_series_budget_before_tail_start_still_sums_its_terms():
     # The library keeps the partial sum of a short budget; only the CLI
     # refuses a budget that cannot certify.
@@ -243,13 +271,16 @@ def test_series_rejects_bad_parameters():
         st.floats(min_value=0.0, max_value=1.0),
     ),
 )
-# The closest fractions (denominator <= 64) on either side of the band edge:
-# 4p(1-p) is 0.994898... at 15/28 and 0.995133... at 23/43.
+# Ratios just below 1 are bounded from tail_start(k): 4p(1-p) is 0.994898...
+# at 15/28 and 0.995133... at 23/43.  Ratio 1 is never bounded: p = 1/2, and
+# a float p beside it whose 4p(1-p) rounds to 1.
 @example(5, Fraction(15, 28))
 @example(5, Fraction(23, 43))
+@example(5, Fraction(1, 2))
+@example(5, 0.5 + 2**-30)
 def test_series_terms_bound_exactly_where_certified(k, p):
     ratio = 4 * (p * (1 - p))
-    certifiable = ratio < 1 - NEAR_CRITICAL_DELTA
+    certifiable = ratio < 1
     for n, (term, _, bound) in enumerate(islice(series_terms(k, p), 60)):
         if n < tail_start(k) or not certifiable:
             assert bound is None
@@ -301,7 +332,7 @@ def reference_series(k, p, target_tail, max_terms):
     p = Fraction(p)
     q = 1 - p
     ratio = 4 * p * q
-    bounded_from = tail_start(k) if ratio < 1 - NEAR_CRITICAL_DELTA else math.inf
+    bounded_from = tail_start(k) if ratio < 1 else math.inf
     total = Fraction(0)
     for n in range(max_terms):
         term = Fraction(k * math.comb(2 * n + k, n), 2 * n + k) * p**n * q ** (n + k)
