@@ -32,3 +32,12 @@ def check_probability(
     if not 0 <= p <= upper:
         raise ValueError(f"{name} must lie in [0, {upper}], got {p}")
     return p
+
+
+def check_float_k(k: int, p: Fraction | float) -> None:
+    """Reject k >= 2**511 at a float p with ValueError naming k.  Every float
+    route takes the limit of the float series, whose integer factor
+    (2n+k)(2n+k+1) must convert to a float: below 2**511 it does for every
+    n < 2**509, while just below 2**512 it overflows already at n = 0."""
+    if isinstance(p, float) and k >= 2**511:
+        raise ValueError("k must be < 2**511 when p is a float")

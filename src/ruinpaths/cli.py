@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import combinatorics, paths, probability, simulator
-from ._validate import check_int
+from ._validate import check_float_k, check_int
 
 ENV_SEED = "RUINPATHS_SEED"
 
@@ -95,42 +95,34 @@ def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
     """Write rows in fmt.  An exact value can run past Python's limit on
     int-to-str digits (4,300 by default), so the limit is lifted while the
     rows render and restored afterwards."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:  # Python before 3.10.7 has no limit
-        _render(rows, fmt, stream)
-        return
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        _render(rows, fmt, stream)
-    finally:
-        set_limit(limit)
-
-
-def _render(rows: Sequence[dict[str, Any]], fmt: str, stream: Any) -> None:
     stream = stream if stream is not None else sys.stdout
     columns = list(rows[0])
-    if fmt == "json":
-        # A Fraction is written as its "num/den" string, an infinite tail
-        # bound as "inf".
-        payload: Any = [{k: "inf" if v == math.inf else v for k, v in row.items()}
-                        for row in rows]
-        if len(payload) == 1:
-            payload = payload[0]
-        stream.write(json.dumps(payload, allow_nan=False, default=str) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(row[c]) for c in columns])
-    else:
-        cells = [columns] + [[format_value(row[c]) for c in columns] for row in rows]
-        widths = [max(len(line[i]) for line in cells) for i in range(len(columns))]
-        for line in cells:
-            stream.write(
-                "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-                + "\n"
-            )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            # A Fraction is written as its "num/den" string, an infinite tail
+            # bound as "inf".
+            payload: Any = [{k: "inf" if v == math.inf else v for k, v in row.items()}
+                            for row in rows]
+            if len(payload) == 1:
+                payload = payload[0]
+            stream.write(json.dumps(payload, allow_nan=False, default=str) + "\n")
+        elif fmt == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([format_value(row[c]) for c in columns])
+        else:
+            cells = [columns] + [[format_value(row[c]) for c in columns] for row in rows]
+            widths = [max(len(line[i]) for line in cells) for i in range(len(columns))]
+            for line in cells:
+                stream.write(
+                    "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                    + "\n"
+                )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +153,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
     elif method == "gf":
         # Start-1 value from the generating function, lifted to k by the
         # power law.
+        check_float_k(args.k, p)
         row["value"] = probability.absorption_via_gf(p) ** args.k
     elif method == "series":
         if not args.tail > 0:
@@ -202,7 +195,6 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    check_int(args.k, "k", 1)
     check_int(args.max_terms, "--max-terms", 0)
     p = parse_probability(args.p)
     rows = [{"n": n, "term": term, "partial_sum": total,
@@ -342,10 +334,10 @@ def _series_ok(k: int, p: Fraction) -> bool:
     )
 
 
-def _near_critical_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
-    near = probability.absorption_series(2, Fraction(1, 2), 1e-12, max_terms=2000)
+def _critical_cells(b: Bounds) -> Iterable[tuple[str, bool]]:
+    half = probability.absorption_series(2, Fraction(1, 2), 1e-12, max_terms=2000)
     yield "expected converged=false with partial_sum < 1", (
-        not near.converged and near.partial_sum < 1 and math.isinf(near.tail_bound)
+        not half.converged and half.partial_sum < 1 and math.isinf(half.tail_bound)
     )
 
 
@@ -416,7 +408,7 @@ IDENTITIES: tuple[tuple[str, str, str, Cells], ...] = (
          for k in range(1, 6)
      )),
     ("probability", "near-critical series reports an honest lower bound",
-     "k=2, p=1/2, 2000 terms", _near_critical_cells),
+     "k=2, p=1/2, 2000 terms", _critical_cells),
 )
 
 

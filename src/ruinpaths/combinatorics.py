@@ -47,9 +47,7 @@ def catalan_via_convolution(n: int) -> BallotCount:
     Rejects n = 0: the sum is empty there while C(0) = 1, and silently
     returning 1 would hide misuse.
     """
-    check_int(n, "n", 0)
-    if n == 0:
-        raise ValueError("convolution identity starts at n = 1; the n = 0 sum is empty")
+    check_int(n, "n", 1)
     return sum(catalan(a - 1) * catalan(n - a) for a in range(1, n + 1))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Union
 
-from ._validate import check_int, check_probability
+from ._validate import check_float_k, check_int, check_probability
 
 StepProbability = Union[Fraction, float]
 
@@ -32,10 +32,12 @@ def absorption_exact(k: int, p: StepProbability) -> StepProbability:
     """Closed-form absorption probability: 1 for p <= 1/2, else ((1-p)/p)^k.
 
     Exact when p is a Fraction; the start position only enters as the
-    exponent (the k = 1 probability raised to the k-th power).
+    exponent (the k = 1 probability raised to the k-th power).  A float p
+    takes k < 2**511, as every float route does.
     """
     check_int(k, "k", 1)
     p = check_probability(p)
+    check_float_k(k, p)
     if 2 * p <= 1:
         return Fraction(1) if isinstance(p, Fraction) else 1.0
     return ((1 - p) / p) ** k
@@ -85,21 +87,27 @@ def absorption_via_gf(p: StepProbability) -> StepProbability:
     Rejects p = 0 (division by p); the closed form covers that case.
     Near p = 1/2 a float z = p(1-p) sits by the branch point 1/4, and
     rounding 1 - 4z costs about u/|1-2p| relative error (u = 2^-53): about
-    1e-13 within 1e-3 of p = 1/2, 1e-10 within 1e-6.
+    1e-13 within 1e-3 of p = 1/2, 1e-10 within 1e-6.  A float value is
+    capped at 1: rounding lifts it to 1 + 2^-52 at p = 0.1, for one.
     """
     p = check_probability(p)
     if p == 0:
         raise ValueError("p = 0 is excluded (division by p); absorption is 1 there")
-    return generating_function(p * (1 - p)) / p
+    value = generating_function(p * (1 - p)) / p
+    return min(value, 1.0) if isinstance(p, float) else value
 
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
     """Truncated series result with its certificate.
 
-    partial_sum is always a lower bound on the true probability (every
-    term is nonnegative).  When converged is true, partial_sum + tail_bound
-    is an upper bound; tail_bound is math.inf exactly when converged is false.
+    For a Fraction p, partial_sum is a lower bound on the true probability
+    (every term is nonnegative), and when converged is true, partial_sum +
+    tail_bound is an upper bound.  For a float p both hold only up to
+    rounding, about (5n + k + 4) u partial_sum after n terms (u = 2^-53):
+    absorption_series(8, 0.071, 1e-12).partial_sum is 1 + 2^-52, above the
+    exact 1 (ROADMAP item 3).  tail_bound is math.inf exactly when converged
+    is false.
     """
 
     partial_sum: StepProbability
@@ -145,10 +153,12 @@ def series_terms(
     Fraction view of it; a float p runs the ratio in floats.  The bound
     t_n r/(1-r), r = 4p(1-p), holds only from tail_start(k) on, so it is
     None before that; at r = 1 (p = 1/2, where terms decay like n^(-3/2))
-    there is none, so it is None throughout.
+    there is none, so it is None throughout.  A float p takes k < 2**511,
+    so that the integer factor (2n+k)(2n+k+1) converts to a float.
     """
     check_int(k, "k", 1)
     p = check_probability(p)
+    check_float_k(k, p)
     q = 1 - p
     pq = p * q
     ratio = 4 * pq
@@ -193,7 +203,8 @@ def absorption_series(
     Fractions: its partial sum stays an integer over b^(2n+k), and the
     stopping rule compares integers too, so the one normalisation of the
     call builds partial_sum and tail_bound at the end.  A float p reads the
-    float rows of series_terms.
+    float rows of series_terms, so it takes k < 2**511, and its certificate
+    holds only up to rounding (see SeriesEvaluation).
     """
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
@@ -229,7 +240,8 @@ def verify_three_term(k: int, p: StepProbability) -> bool:
 
     Exact equality for Fraction p; residual at most 1e-12 for float p.
     p = 0 and p = 1 are rejected (division by p; both ends are degenerate
-    and covered by the closed form directly).
+    and covered by the closed form directly).  A float p takes k + 2 < 2**511,
+    the closed form's limit at the largest start evaluated.
     """
     check_int(k, "k", 1)
     p = check_probability(p)

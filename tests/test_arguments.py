@@ -16,6 +16,7 @@ from ruinpaths import (
     ballot_count,
     ballot_via_recurrence,
     catalan,
+    catalan_via_convolution,
     enumerate_first_passage,
     partition_by_first_step,
     run_walk,
@@ -50,6 +51,7 @@ CASES = [
     (lambda k: WalkConfig(k=k, p=0.5, max_steps=10, trials=1, seed=0), "k", 1),
     (lambda t: WalkConfig(k=1, p=0.5, max_steps=10, trials=t, seed=0), "trials", 1),
     (_walk, "k", 1),
+    (catalan_via_convolution, "n", 1),
 ]
 IDS = [f"{i}-{name}" for i, (_, name, _) in enumerate(CASES)]
 

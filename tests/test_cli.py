@@ -166,6 +166,31 @@ def test_prob_series_bad_tail_names_the_flag(tail, capsys):
     assert capsys.readouterr() == ("", f"error: --tail must be > 0, got {float(tail)}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--k", str(10**400), "--p", "0.6"],
+        ["prob", "--k", str(10**400), "--p", "0.6", "--method", "gf"],
+        ["prob", "--k", str(10**400), "--p", "1"],
+        ["prob", "--k", str(2**511), "--p", "0.3", "--method", "gf"],
+        ["converge", "--k", str(2**512), "--p", "0.6", "--max-terms", "1"],
+    ],
+    ids=["exact", "gf", "p-one", "gf-below-half", "converge"],
+)
+def test_float_p_with_k_past_the_limit_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: k must be < 2**511 when p is a float\n")
+
+
+@pytest.mark.parametrize("k", [10**17, 10**19])
+def test_prob_gf_float_value_stays_at_one(k, capsys):
+    # absorption_via_gf(0.072) was 1 + 2^-52, so its k-th power printed
+    # 4398196873.9457445 at k = 10^17 and overflowed at 10^19.
+    argv = ["prob", "--k", str(k), "--p", "0.072", "--method", "gf", "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert csv_rows(capsys.readouterr().out)[0]["value"] == "1.0"
+
+
 def last_row(text: str, fmt: str) -> dict[str, str]:
     if fmt == "csv":
         return csv_rows(text)[-1]

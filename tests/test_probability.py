@@ -152,6 +152,13 @@ def test_float_gf_route_is_accurate_away_from_one_half(p):
     assert abs(Fraction(absorption_via_gf(p)) - exact) <= Fraction(1e-12) * exact
 
 
+def test_float_gf_route_never_exceeds_one():
+    # The exact value is 1 for every p <= 1/2; rounding lifted 102 of these p,
+    # 0.072 and 0.1 among them, to 1 + 2^-52 and more.
+    for i in range(1, 501):
+        assert 1 - 1e-12 <= absorption_via_gf(i / 1000) <= 1
+
+
 # ---------------------------------------------------------------------------
 # series route
 
@@ -208,7 +215,7 @@ def test_series_near_critical_reports_lower_bound():
     assert longer.partial_sum > result.partial_sum  # monotone in the term budget
 
 
-def test_series_near_critical_band_is_two_sided():
+def test_series_near_one_half_does_not_certify_in_200_terms():
     for p in (0.499, 0.501):
         result = absorption_series(1, p, 1e-12, max_terms=200)
         assert not result.converged
@@ -453,3 +460,37 @@ def test_three_term_holds_on_float_grid():
     for p in (0.1, 0.3, 0.5, 0.6, 0.9):
         for k in range(1, 33):
             assert verify_three_term(k, p)
+
+
+# ---------------------------------------------------------------------------
+# the float k limit
+
+FLOAT_ROUTES = {
+    "exact": lambda k: absorption_exact(k, 0.6),
+    "exact-below-half": lambda k: absorption_exact(k, 0.3),
+    "exact-p-one": lambda k: absorption_exact(k, 1.0),
+    "series_terms": lambda k: series_terms(k, 0.6),
+    "series": lambda k: absorption_series(k, 0.6, 1e-12, max_terms=2),
+    "three-term": lambda k: verify_three_term(k, 0.6),
+}
+
+
+@pytest.mark.parametrize("route", FLOAT_ROUTES.values(), ids=FLOAT_ROUTES)
+@pytest.mark.parametrize("k", [2**511, 2**512 - 1, 10**400], ids=["2^511", "2^512-1", "10^400"])
+def test_float_routes_reject_k_from_2_to_the_511(route, k):
+    # One limit serves every float route, though the closed form alone would
+    # compute up to 2**1024.
+    with pytest.raises(ValueError, match=r"^k must be < 2\*\*511 when p is a float$"):
+        route(k)
+
+
+def test_float_routes_take_k_below_the_limit():
+    k = 2**511 - 1
+    assert absorption_exact(k, 0.6) == 0.0
+    assert absorption_exact(k, 0.3) == 1.0
+    assert list(islice(series_terms(k, 0.6), 3)) == [(0.0, 0.0, None)] * 3
+    result = absorption_series(k, 0.6, 1e-12, max_terms=2)
+    assert (result.partial_sum, result.converged) == (0.0, False)
+    assert verify_three_term(k - 2, 0.6)
+    # A Fraction p has no such limit.
+    assert absorption_exact(2**1024, Fraction(1, 4)) == 1
