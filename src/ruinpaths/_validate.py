@@ -22,7 +22,8 @@ def check_probability(
     p: Fraction | float, name: str = "p", upper: Fraction | int = 1
 ) -> Fraction | float:
     """Reject a bool or non-numeric p with TypeError and one outside [0, upper]
-    with ValueError, both naming it; return p, an int converted to Fraction."""
+    with ValueError, both naming it; return p, an int converted to Fraction
+    and -0.0 to 0.0."""
     if isinstance(p, bool):
         raise TypeError(f"{name} must be a Fraction or float, got bool")
     if isinstance(p, int):
@@ -31,7 +32,7 @@ def check_probability(
         raise TypeError(f"{name} must be a Fraction or float, got {type(p).__name__}")
     if not 0 <= p <= upper:
         raise ValueError(f"{name} must lie in [0, {upper}], got {p}")
-    return p
+    return abs(p)
 
 
 def check_float_k(k: int, p: Fraction | float) -> None:

@@ -54,7 +54,7 @@ def parse_probability(text: str) -> probability.StepProbability:
             raise ValueError(f"probability must be finite, got {text!r}")
     if not 0 <= value <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {text!r}")
-    return value
+    return abs(value)
 
 
 def parse_range(text: str, name: str) -> range:
@@ -396,7 +396,6 @@ IDENTITIES: tuple[tuple[str, str, str, Cells], ...] = (
      lambda b: (
          (f"k={k}, p={p}", probability.verify_three_term(k, p))
          for p in _RATIONAL_GRID + _FLOAT_GRID
-         if 0 < p < 1
          for k in range(1, 33)
      )),
     ("probability", "series brackets the closed form",

@@ -85,10 +85,11 @@ def absorption_via_gf(p: StepProbability) -> StepProbability:
     The minus branch turns sqrt((1-2p)^2) into |1-2p|, so the p <= 1/2
     and p > 1/2 cases emerge from the algebra, not from a runtime branch.
     Rejects p = 0 (division by p); the closed form covers that case.
-    Near p = 1/2 a float z = p(1-p) sits by the branch point 1/4, and
-    rounding 1 - 4z costs about u/|1-2p| relative error (u = 2^-53): about
-    1e-13 within 1e-3 of p = 1/2, 1e-10 within 1e-6.  A float value is
-    capped at 1: rounding lifts it to 1 + 2^-52 at p = 0.1, for one.
+    A float value has relative error at most u/|1-2p| + 4u (u = 2^-53):
+    near p = 1/2, z = p(1-p) sits by the branch point 1/4, and rounding
+    1 - 4z costs about 1e-13 within 1e-3 of p = 1/2, 1e-10 within 1e-6.
+    A float value is capped at 1: rounding lifts it to 1 + 2^-52 at p = 0.1,
+    for one.
     """
     p = check_probability(p)
     if p == 0:
@@ -236,19 +237,17 @@ def absorption_series(
 
 
 def verify_three_term(k: int, p: StepProbability) -> bool:
-    """Check P(k+2) = (1/p) P(k+1) - ((1-p)/p) P(k) on the closed form.
+    """Check the first-step equation P(k+1) = p P(k+2) + (1-p) P(k) on the
+    closed form.
 
-    Exact equality for Fraction p; residual at most 1e-12 for float p.
-    p = 0 and p = 1 are rejected (division by p; both ends are degenerate
-    and covered by the closed form directly).  A float p takes k + 2 < 2**511,
-    the closed form's limit at the largest start evaluated.
+    Exact equality for Fraction p; residual at most 1e-12 for float p, on
+    all of [0, 1].  A float p takes k + 2 < 2**511, the closed form's limit
+    at the largest start evaluated.
     """
     check_int(k, "k", 1)
     p = check_probability(p)
-    if p == 0 or p == 1:
-        raise ValueError("the recurrence needs 0 < p < 1")
-    lhs = absorption_exact(k + 2, p)
-    rhs = absorption_exact(k + 1, p) / p - absorption_exact(k, p) * (1 - p) / p
+    lhs = absorption_exact(k + 1, p)
+    rhs = p * absorption_exact(k + 2, p) + (1 - p) * absorption_exact(k, p)
     if isinstance(p, Fraction):
         return lhs == rhs
     return abs(lhs - rhs) <= THREE_TERM_TOLERANCE

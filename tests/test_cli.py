@@ -420,6 +420,21 @@ def test_unknown_method_is_usage_error():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--k", "1", "--p", "-0.0", "--method", "series"],
+        ["converge", "--k", "1", "--p", "-0.0", "--max-terms", "2"],
+    ],
+    ids=["prob-series", "converge"],
+)
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_negative_zero_p_prints_no_negative_zero(argv, fmt, capsys):
+    # p, the terms and the tail bounds all printed as -0.0.
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert "-0" not in capsys.readouterr().out
+
+
 def test_probability_out_of_range_is_usage_error():
     result = run_cli("prob", "--k", "1", "--p", "1.5")
     assert result.returncode == 2

@@ -40,6 +40,19 @@ def rational_p_open_interval():
     )
 
 
+def rational_p_closed_interval():
+    # Fractions in [0, 1], endpoints included, with small denominators.
+    return st.integers(min_value=1, max_value=60).flatmap(
+        lambda den: st.integers(min_value=0, max_value=den).map(lambda num: Fraction(num, den))
+    )
+
+
+# Floats in [0, 1] spread evenly over binary exponents, subnormals included.
+LOG_UNIFORM_P = st.builds(
+    math.ldexp, st.floats(min_value=0.5, max_value=1.0), st.integers(min_value=-1074, max_value=0)
+)
+
+
 # ---------------------------------------------------------------------------
 # closed form
 
@@ -76,6 +89,16 @@ def test_absorption_exact_power_law():
             assert absorption_exact(k, p) == base**k
 
 
+def test_negative_zero_p_is_zero():
+    # -0.0 lies in [0, 1]; it used to come back signed from every route.
+    for value in (
+        absorption_series(1, -0.0, 1e-12).tail_bound,
+        generating_function(-0.0),
+        next(series_terms(1, -0.0))[2],
+    ):
+        assert math.copysign(1.0, value) == 1.0
+
+
 def test_absorption_exact_rejects_bad_input():
     with pytest.raises(ValueError):
         absorption_exact(0, 0.5)
@@ -94,10 +117,24 @@ def test_generating_function_endpoints():
     assert generating_function(Fraction(1, 4)) == Fraction(1, 2)
 
 
-def test_generating_function_solves_quadratic():
-    for z in (0.0, 0.01, 0.1, 0.2, 0.25):
-        f = generating_function(z)
-        assert abs(f * f - f + z) <= 1e-14
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.25),
+        st.floats(min_value=0.25 - 1e-6, max_value=0.25),
+        LOG_UNIFORM_P.map(lambda z: z / 4),
+    )
+)
+@example(0.0)
+@example(0.01)
+@example(0.1)
+@example(0.2)
+@example(0.25)
+@example(5e-324)
+def test_generating_function_solves_quadratic(z):
+    # The residual that `verify probability` checks at the five points above
+    # holds on all of [0, 1/4], beside 1/4 and at subnormal z included.
+    f = generating_function(z)
+    assert abs(f * f - f + z) <= 1e-14
 
 
 def test_generating_function_exact_on_perfect_squares():
@@ -150,6 +187,28 @@ def test_float_gf_route_is_accurate_away_from_one_half(p):
     # printed 0.0 for p = 1e-320, where the answer is 1.
     exact = absorption_exact(1, Fraction(p))
     assert abs(Fraction(absorption_via_gf(p)) - exact) <= Fraction(1e-12) * exact
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.floats(min_value=1e-15, max_value=1e-1).flatmap(
+            lambda d: st.sampled_from([0.5 - d, 0.5 + d])
+        ),
+        LOG_UNIFORM_P.filter(lambda p: p > 0),
+    )
+)
+@example(0.5)
+@example(0.5 + 2**-53)
+@example(5e-324)
+@example(1.0)
+def test_float_gf_route_relative_error_bound(p):
+    # The docstring's bound u/|1-2p| + 4u, u = 2^-53, multiplied through by
+    # |1-2p| so that p = 1/2 needs no special case.
+    exact = absorption_exact(1, Fraction(p))
+    gap = abs(1 - 2 * Fraction(p))
+    error = abs(Fraction(absorption_via_gf(p)) - exact)
+    assert error * gap <= Fraction(1, 2**53) * (1 + 4 * gap) * exact
 
 
 def test_float_gf_route_never_exceeds_one():
@@ -444,15 +503,31 @@ def test_three_term_known_cases():
     assert verify_three_term(7, 0.51)
 
 
-def test_three_term_rejects_endpoints():
-    with pytest.raises(ValueError):
-        verify_three_term(1, 0)
-    with pytest.raises(ValueError):
-        verify_three_term(1, Fraction(1))
+@pytest.mark.parametrize("p", [0, 1, 0.0, 1.0, Fraction(0), Fraction(1)])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_three_term_holds_at_endpoints(p, k):
+    # Stated as the first-step equation, the identity divides by nothing.
+    assert verify_three_term(k, p)
 
 
-@given(rational_p_open_interval(), st.integers(min_value=1, max_value=32))
+@given(rational_p_closed_interval(), st.integers(min_value=1, max_value=32))
 def test_three_term_holds_for_rational_p(p, k):
+    assert verify_three_term(k, p)
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.5 - 1e-6, max_value=0.5 + 1e-6),
+        LOG_UNIFORM_P,
+    ),
+    st.integers(min_value=1, max_value=2000),
+)
+@example(1e-5, 1)
+@example(1e-300, 5)
+def test_three_term_holds_for_every_float_p(p, k):
+    # Divided by p, the identity cancels: its rounding grows like u/p and
+    # passed the 1e-12 tolerance at p = 1e-5.
     assert verify_three_term(k, p)
 
 

@@ -1,9 +1,12 @@
 import hashlib
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruinpaths import (
     Absorbed,
@@ -11,6 +14,7 @@ from ruinpaths import (
     Censored,
     WalkConfig,
     absorption_exact,
+    absorption_series,
     estimate_absorption,
     run_walk,
     simulator,
@@ -266,3 +270,34 @@ def test_interval_coverage_is_near_nominal():
         if not estimate.ci_low <= exact <= estimate.ci_high:
             misses += 1
     assert misses <= 10
+
+
+@st.composite
+def walk_requests(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    p = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda den: st.integers(min_value=0, max_value=den).map(lambda num: Fraction(num, den))
+        ),
+    ))
+    max_steps = draw(st.integers(min_value=k, max_value=2000))
+    trials = draw(st.integers(min_value=1, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    return WalkConfig(k=k, p=p, max_steps=max_steps, trials=trials, seed=seed)
+
+
+@settings(deadline=None)
+@given(walk_requests())
+def test_estimate_matches_finite_horizon_target(config):
+    # A censored walk estimates P(T <= max_steps) without bias, and series
+    # term t_n is P(T = 2n + k): so the target is the partial sum S_N,
+    # N = (max_steps - k) // 2, read from the series, which sees only k and p.
+    # A tail bound of 5e-324 stops the sum before N only where the rest is nil.
+    n = (config.max_steps - config.k) // 2
+    series = absorption_series(config.k, config.p, 5e-324, max_terms=n + 1)
+    # The float series can round past 1 (ROADMAP item 3).
+    target = min(float(series.partial_sum), 1.0)
+    sigma = math.sqrt(config.trials * target * (1 - target))
+    absorbed = estimate_absorption(config).absorbed
+    assert abs(absorbed - config.trials * target) <= 5 * sigma + 1

@@ -7,12 +7,15 @@ In the checkout --tree (default: the one this file sits in) it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
-for each of the four workloads, then one `--workload cli --trace 1` run.
-Under --side of --out it stores each run's result line (the last line of
-its stdout), the machine and host_loop_ms of its record, and the CLI
-layer metrics cli.import_ms, cli.python_ms and cli.startup_ms from the
-traced run.  Other sides already in --out are kept, so that the parent and
-the change of one commit can be recorded into one file, one after the other.
+for each of the four workloads, then one `--trace 1` run of each.  Under
+--side of --out it stores each run's result line (the last line of its
+stdout) with the machine and host_loop_ms of its record, and, by workload,
+every per-layer metric of the traced result lines.  A traced run reports
+the metrics its own requests never reach from a probe of the other
+workloads, and 0.0 for those no probe reaches either; those are listed
+under "unmeasured" in its run.  Other sides already in --out are kept, so
+that the parent and the change of one commit can be recorded into one file,
+one after the other.
 
 Each side also records dont_write_bytecode: whether PYTHONDONTWRITEBYTECODE
 is set in the environment the perfbench children inherit.  When it is, no
@@ -36,7 +39,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc", "series", "oracle", "cli")
-CLI_LAYERS = ("cli.import_ms", "cli.python_ms", "cli.startup_ms")
 SECONDS = 25
 
 
@@ -50,7 +52,7 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
         raise SystemExit(f"{' '.join(command)} exited with {proc.returncode}:\n{proc.stderr}")
     *_, record_line, result_line = proc.stdout.splitlines()
     record = json.loads(record_line)["record"]
-    return {
+    run = {
         "workload": workload,
         "seed": seed,
         "trace": trace,
@@ -58,16 +60,20 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
         "machine": record["machine"],
         "host_loop_ms": record["host_loop_ms"],
     }
+    if trace:
+        run["unmeasured"] = record["unmeasured"]
+    return run
 
 
 def record_side(tree: Path, seed: int) -> dict:
-    runs = [perfbench(tree, workload, seed, 0) for workload in WORKLOADS]
-    traced = perfbench(tree, "cli", seed, 1)
-    layers = {name: traced["result"]["metrics"][name] for name in CLI_LAYERS}
+    runs = [perfbench(tree, workload, seed, trace)
+            for trace in (0, 1) for workload in WORKLOADS]
+    layers = {run["workload"]: {name: metric["value"]
+                                for name, metric in run["result"]["metrics"].items()}
+              for run in runs if run["trace"]}
     # Python reads any non-empty value as set.
     dont_write_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
-    return {"runs": runs + [traced], "layers": layers,
-            "dont_write_bytecode": dont_write_bytecode}
+    return {"runs": runs, "layers": layers, "dont_write_bytecode": dont_write_bytecode}
 
 
 def main(argv: list[str] | None = None) -> int:
