@@ -117,13 +117,6 @@ class SeriesEvaluation:
     converged: bool
 
 
-def _first_bounded(k: int, slack: StepProbability) -> int | float:
-    """First n whose tail bound series_terms reports, given slack = 1 - r up
-    to a positive factor, r = 4p(1-p): tail_start(k) wherever r < 1, and inf
-    (no bound) at r = 1, that is at p = 1/2."""
-    return tail_start(k) if slack > 0 else math.inf
-
-
 def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
     """The series for p = a/b in integers: yields (num_n, S_n, b^(2n+k)), the
     term t_n = num_n / b^(2n+k), num_n = C_k(n) a^n (b-a)^(n+k), and the partial
@@ -160,19 +153,20 @@ def series_terms(
     check_int(k, "k", 1)
     p = check_probability(p)
     check_float_k(k, p)
-    q = 1 - p
-    pq = p * q
-    ratio = 4 * pq
-    n0 = _first_bounded(k, 1 - ratio)
     if isinstance(p, Fraction):
         a, b = p.numerator, p.denominator
         # r/(1-r) = 4a(b-a) / (b-2a)^2
         lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
+        n0 = tail_start(k) if gap else math.inf
         return (
             (Fraction(num, scale), Fraction(total, scale),
              Fraction(num * lead, scale * gap) if n >= n0 else None)
             for n, (num, total, scale) in enumerate(_exact_terms(k, a, b))
         )
+    q = 1 - p
+    pq = p * q
+    ratio = 4 * pq
+    n0 = tail_start(k) if ratio < 1 else math.inf
 
     def terms() -> Iterator[tuple[float, float, float | None]]:
         term, total = q**k, 0.0
@@ -213,27 +207,25 @@ def absorption_series(
     check_int(k, "k", 1)
     p = check_probability(p)
     if isinstance(p, float):
-        for n, (_, total, bound) in enumerate(series_terms(k, p)):
+        for n, (_, total, bound) in zip(range(max_terms), series_terms(k, p)):
             if bound is not None and bound <= target_tail:
                 return SeriesEvaluation(total, n + 1, bound, True)
-            if n + 1 >= max_terms:
-                return SeriesEvaluation(total, n + 1, math.inf, False)
+        return SeriesEvaluation(total, max_terms, math.inf, False)
 
     a, b = p.numerator, p.denominator
     lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
-    n0 = _first_bounded(k, gap)
+    n0 = tail_start(k) if gap else math.inf
     # The bound num lead / (b^(2n+k) gap) is at most tn/td exactly when
     # num lead td <= tn b^(2n+k) gap; an infinite target, which no Fraction
     # holds, takes td = 0 and so accepts every bound.
     tn, td = (1, 0) if target_tail == math.inf else Fraction(target_tail).as_integer_ratio()
     lhs, rhs = lead * td, tn * gap
-    for n, (num, total, scale) in enumerate(_exact_terms(k, a, b)):
+    for n, (num, total, scale) in zip(range(max_terms), _exact_terms(k, a, b)):
         if n >= n0 and num * lhs <= rhs * scale:
             return SeriesEvaluation(
                 Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True
             )
-        if n + 1 >= max_terms:
-            return SeriesEvaluation(Fraction(total, scale), n + 1, math.inf, False)
+    return SeriesEvaluation(Fraction(total, scale), max_terms, math.inf, False)
 
 
 def verify_three_term(k: int, p: StepProbability) -> bool:

@@ -371,6 +371,9 @@ def test_series_terms_bound_exactly_where_certified(k, p):
 # A budget that ends past tail_start with every bound above the target.
 @example(1, Fraction(3, 5), 1e-30, 3)
 @example(2, 0.5, 1e-12, 80)
+# A budget that ends before tail_start(6) = 14: five terms, no bound.
+@example(6, Fraction(3, 5), 1e-12, 5)
+@example(6, 0.6, 1e-12, 5)
 def test_series_rows_carry_the_partial_sums_absorption_series_returns(
     k, p, target_tail, max_terms
 ):

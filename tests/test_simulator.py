@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ruinpaths import (
     run_walk,
     simulator,
 )
+from ruinpaths.probability import series_terms
 
 
 def substream(seed: int, trial: int) -> np.random.Generator:
@@ -120,6 +122,49 @@ def test_block_acceleration_matches_closed_form():
             hits += 1
     expected = float(absorption_exact(66, 0.51))  # about 0.0714
     assert abs(hits / trials - expected) < 0.02
+
+
+def absorption_time_chi_square(k, p, max_steps, trials, seed):
+    """Pearson statistic and degrees of freedom of walk absorption times
+    against the series, which reads only k and p: t_n is P(T = 2n + k).
+
+    One bin per n while trials t_n >= 5, one pooled bin for the rest of
+    n <= N = (max_steps - k) // 2, and a censored bin at trials (1 - S_N).
+    """
+    last = (max_steps - k) // 2
+    rows = list(islice(series_terms(k, p), last + 1))
+    observed = [0] * (last + 1)
+    for trial in range(trials):
+        outcome = run_walk(k, p, max_steps, substream(seed, trial))
+        if isinstance(outcome, Absorbed):
+            observed[(outcome.step_count - k) // 2] += 1
+    n = 0
+    bins = []
+    while n <= last and trials * rows[n][0] >= 5:
+        bins.append((observed[n], trials * rows[n][0]))
+        n += 1
+    if n <= last:
+        below = rows[n - 1][1] if n else 0.0
+        bins.append((sum(observed[n:]), trials * (rows[last][1] - below)))
+    bins.append((trials - sum(observed), trials * (1 - rows[last][1])))
+    statistic = sum((seen - expected) ** 2 / expected for seen, expected in bins)
+    return statistic, len(bins) - 1
+
+
+@pytest.mark.parametrize(
+    "k, p, max_steps, seed",
+    [
+        (1, 0.4, 1000, 1),
+        (2, 0.6, 2000, 2),  # most walks escape to the horizon
+        (1, 0.5, 4000, 2**64 - 1),  # about 1 walk in 65 makes block jumps
+    ],
+)
+def test_absorption_times_follow_the_series(k, p, max_steps, seed):
+    # The walk's whole absorption-time law, not only its mass below the
+    # horizon: a step-count shift or a biased step moves the statistic far
+    # past the bound (p = 0.42 walks give 315 in the first cell).
+    statistic, df = absorption_time_chi_square(k, p, max_steps, 20_000, seed)
+    assert statistic <= df + 6 * math.sqrt(2 * df)
 
 
 # ---------------------------------------------------------------------------
