@@ -130,7 +130,7 @@ def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
     for n in count():
         total = total * bb + num
         yield num, total, scale
-        num = num * ab * ((2 * n + k) * (2 * n + k + 1)) // ((n + 1) * (n + k + 1))
+        num = num * (ab * ((2 * n + k) * (2 * n + k + 1))) // ((n + 1) * (n + k + 1))
         scale *= bb
 
 
@@ -197,9 +197,11 @@ def absorption_series(
     A Fraction p = a/b reads the integer kernel that series_terms views as
     Fractions: its partial sum stays an integer over b^(2n+k), and the
     stopping rule compares integers too, so the one normalisation of the
-    call builds partial_sum and tail_bound at the end.  A float p reads the
-    float rows of series_terms, so it takes k < 2**511, and its certificate
-    holds only up to rounding (see SeriesEvaluation).
+    call builds partial_sum and tail_bound at the end.  That rule compares
+    bit lengths first and multiplies only near the crossing, so its outcome
+    is that of the exact comparison alone.  A float p reads the float rows
+    of series_terms, so it takes k < 2**511, and its certificate holds only
+    up to rounding (see SeriesEvaluation).
     """
     if not target_tail > 0:
         raise ValueError(f"target_tail must be > 0, got {target_tail}")
@@ -220,8 +222,12 @@ def absorption_series(
     # holds, takes td = 0 and so accepts every bound.
     tn, td = (1, 0) if target_tail == math.inf else Fraction(target_tail).as_integer_ratio()
     lhs, rhs = lead * td, tn * gap
+    # bl(xy) >= bl(x) + bl(y) - 1 for x, y > 0, so more bits prove num lhs > rhs scale
+    # unmultiplied; num = 0 only where lhs = 0, and there t_n <= 1 (num <= scale) skips none.
+    lhs_bits, rhs_bits = lhs.bit_length() - 1, rhs.bit_length()
     for n, (num, total, scale) in zip(range(max_terms), _exact_terms(k, a, b)):
-        if n >= n0 and num * lhs <= rhs * scale:
+        if (n >= n0 and num.bit_length() + lhs_bits <= scale.bit_length() + rhs_bits
+                and num * lhs <= rhs * scale):
             return SeriesEvaluation(
                 Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True
             )

@@ -395,19 +395,27 @@ def test_series_partial_sum_never_exceeds_exact_value(p, k):
     assert result.partial_sum <= absorption_exact(k, p)
 
 
+def reference_term(k, p, n):
+    """The series term C_k(n) p^n (1-p)^(n+k), built from math.comb."""
+    return Fraction(k * math.comb(2 * n + k, n), 2 * n + k) * p**n * (1 - p) ** (n + k)
+
+
+def reference_bound(k, p, n):
+    """The tail bound t_n r/(1-r), r = 4p(1-p), after reference_term n."""
+    ratio = 4 * p * (1 - p)
+    return reference_term(k, p, n) * ratio / (1 - ratio)
+
+
 def reference_series(k, p, target_tail, max_terms):
     """absorption_series summed one Fraction term at a time, each term
-    C_k(n) p^n (1-p)^(n+k) built from math.comb."""
+    from reference_term."""
     p = Fraction(p)
-    q = 1 - p
-    ratio = 4 * p * q
-    bounded_from = tail_start(k) if ratio < 1 else math.inf
+    bounded_from = tail_start(k) if 4 * p * (1 - p) < 1 else math.inf
     total = Fraction(0)
     for n in range(max_terms):
-        term = Fraction(k * math.comb(2 * n + k, n), 2 * n + k) * p**n * q ** (n + k)
-        total += term
+        total += reference_term(k, p, n)
         if n >= bounded_from:
-            bound = term * ratio / (1 - ratio)
+            bound = reference_bound(k, p, n)
             if bound <= target_tail:
                 return total, n + 1, bound, True
     return total, max_terms, math.inf, False
@@ -440,6 +448,16 @@ def reference_series(k, p, target_tail, max_terms):
 # Targets equal to the first bound, 9/4 and 81/160: the rule stops at n = 0.
 @example(1, Fraction(1, 4), 2.25, 5)
 @example(1, Fraction(1, 10), Fraction(81, 160), 5)
+# The bit-length pre-test.  A target equal to the bound at n = 400 (1,825 over
+# 1,858 bits) reaches the exact compare, meets equality and stops after 401
+# terms; 10^-600 below it, after 402.  At 47/100 the bound stays bits above
+# 1e-12, so no term reaches the compare and the run ends unconverged at 500.
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 400), 500)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 400) - Fraction(1, 10**600), 500)
+@example(1, Fraction(47, 100), 1e-12, 500)
+# The float just above the first bound 16/3 at 1/3: both products have the same
+# bit length, one short of the sum of their factors', and the run stops at n = 0.
+@example(1, Fraction(1, 3), 5.333333333333334, 5)
 def test_exact_series_equals_term_by_term_fraction_sum(k, p, target_tail, max_terms):
     result = absorption_series(k, p, target_tail, max_terms=max_terms)
     assert isinstance(result.partial_sum, Fraction)

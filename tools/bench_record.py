@@ -1,7 +1,10 @@
-"""Record one side of a BENCH_<pr>.json file from perfbench runs.
+"""Record one side of a BENCH_<pr>.json file from perfbench runs, or
+alternating pairs of a parent and a change.
 
     python3 tools/bench_record.py --out BENCH_11.json --side change
     python3 tools/bench_record.py --out BENCH_11.json --side parent --tree ../parent
+    python3 tools/bench_record.py --out BENCH_18.json --pairs 10 --parent-tree ../parent \
+        --workload series [--trace 1]
 
 In the checkout --tree (default: the one this file sits in) it runs
 
@@ -26,6 +29,15 @@ from sides that differ on this setting cannot be compared.
 
 The record's machine names the checkout's HEAD commit and hashes its src/
 tree, so uncommitted sources show in source_sha256 only.
+
+With --pairs N, one workload runs N times in each of --parent-tree and
+--tree, pair i at seed --seed + i, the parent first in even pairs and the
+change first in odd ones, so that host drift over the session falls on both
+sides alike.  Under pairs of --out, keyed by the workload (with ".traced"
+for --trace 1), it stores every run with its pair, side and host_loop_ms,
+and per side and metric the median and quartiles; change_wins counts the
+pairs in which the change is better on a metric, in the direction
+BENCHMARK.json gives it.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -76,16 +89,67 @@ def record_side(tree: Path, seed: int) -> dict:
     return {"runs": runs, "layers": layers, "dont_write_bytecode": dont_write_bytecode}
 
 
+def spread(values: list[float]) -> dict:
+    """Median and quartiles, interpolated between the sorted values."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
+                 trace: int) -> dict:
+    trees = {"parent": parent, "change": change}
+    runs = []
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = perfbench(trees[side], workload, seed + pair, trace)
+            runs.append({"pair": pair, "side": side, **run})
+    values = {side: {} for side in trees}
+    for run in runs:
+        for name, metric in run["result"]["metrics"].items():
+            values[run["side"]].setdefault(name, []).append(metric["value"])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    wins = {name: sum(c > p if better[name] == "higher" else c < p
+                      for p, c in zip(values["parent"][name], values["change"][name]))
+            for name in values["change"] if name in better}
+    return {
+        "workload": workload,
+        "trace": trace,
+        "runs": runs,
+        "summary": {side: {name: spread(v) for name, v in metrics.items()}
+                    for side, metrics in values.items()},
+        "change_wins": wins,
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<pr>.json to update")
-    parser.add_argument("--side", required=True, help='key to record under, e.g. "parent"')
+    parser.add_argument("--side", help='key to record under, e.g. "parent"')
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, help="alternating parent/change pairs to run")
+    parser.add_argument("--parent-tree", type=Path, help="the parent checkout, with --pairs")
+    parser.add_argument("--workload", choices=WORKLOADS, help="the workload, with --pairs")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="perfbench --trace, with --pairs")
     args = parser.parse_args(argv)
-    side = record_side(args.tree.resolve(), args.seed)
+    if args.pairs is None and args.side is None:
+        parser.error("give --side, or --pairs with --parent-tree and --workload")
+    if args.pairs is not None and (args.side is not None or args.parent_tree is None
+                                   or args.workload is None or args.pairs < 1):
+        parser.error("--pairs N (N >= 1) takes --parent-tree and --workload, not --side")
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench[args.side] = side
+    if args.pairs is None:
+        bench[args.side] = record_side(args.tree.resolve(), args.seed)
+    else:
+        key = args.workload + (".traced" if args.trace else "")
+        bench.setdefault("pairs", {})[key] = record_pairs(
+            args.parent_tree.resolve(), args.tree.resolve(), args.workload, args.pairs,
+            args.seed, args.trace)
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
