@@ -9,7 +9,12 @@ and hits 0 exactly at the final step.  With n right steps the length is
 
 The enumerator is the independent oracle the counting identities are checked
 against: it finds every admissible step sequence by a depth-first search,
-with no reference to the closed-form counts.
+with no reference to the closed-form counts.  The search splits each path at
+its midpoint, the standard first-passage decomposition (Flajolet and
+Sedgewick, Analytic Combinatorics, ch. I): a prefix that stays positive, then
+a first-passage path from where the prefix ends.  It lists the prefixes,
+lists each distinct end state's completions once, and joins them; every
+path it returns is validated as a LatticePath.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ class LatticePath:
 def path_to_string(path: LatticePath) -> str:
     """Canonical serialization: start, colon, one R/L character per step."""
     # _value_ is plain member data; the enum's value property runs Python code.
-    return f"{path.start}:" + "".join(s._value_ for s in path.steps)
+    return f"{path.start}:" + "".join([s._value_ for s in path.steps])
 
 
 def path_from_string(text: str) -> LatticePath:
@@ -118,17 +123,26 @@ def path_from_string(text: str) -> LatticePath:
     return LatticePath(start, steps)
 
 
-def enumerate_first_passage(
-    k: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[LatticePath]:
-    """Every absorbed trajectory from k with exactly n right steps.
+def _walks(start: int, rights: int, depth: int) -> list[tuple[Step, ...]]:
+    # The first `depth` steps of every first-passage path from `start` with
+    # `rights` right steps, in canonical order.  'L' < 'R': right is pushed
+    # before left, so the left subtree comes out first.
+    out: list[tuple[Step, ...]] = []
+    stack: list[tuple[tuple[Step, ...], int, int]] = [((), start, rights)]
+    while stack:
+        prefix, pos, r = stack.pop()
+        if len(prefix) == depth:
+            out.append(prefix)
+            continue
+        if r:
+            stack.append((prefix + (_RIGHT,), pos + 1, r - 1))
+        if pos > 1 or not r:
+            stack.append((prefix + (_LEFT,), pos - 1, r))
+    return out
 
-    Returned in canonical order (lexicographic in the R/L serialization,
-    'L' < 'R'), so the result is deterministic.  A depth-first search on an
-    explicit stack (no recursion limit) prunes any prefix that would be
-    absorbed early; a prefix with r rights and l lefts remaining sits at
-    position l - r, so feasibility is maintained by construction.
-    """
+
+def _first_passage_steps(k: int, n: int, cap: int) -> list[tuple[Step, ...]]:
+    # The step tuples of enumerate_first_passage(k, n, cap=cap), unvalidated.
     check_int(k, "k", 1)
     check_int(n, "n", 0)
     check_int(cap, "cap", 0)
@@ -137,22 +151,37 @@ def enumerate_first_passage(
         raise EnumerationCapError(
             f"path length 2n+k = {length} exceeds enumeration cap {cap}"
         )
-
-    out: list[LatticePath] = []
-    stack: list[tuple[tuple[Step, ...], int]] = [((), 0)]
-    while stack:
-        prefix, rights = stack.pop()
-        depth = len(prefix)
-        if depth == length:
-            out.append(LatticePath(k, prefix))
-            continue
-        r_rem = n - rights
-        # 'L' < 'R': push right before left so the left subtree comes out first.
-        if r_rem > 0:
-            stack.append((prefix + (_RIGHT,), rights + 1))
-        if k + 2 * rights - depth > 1 or r_rem == 0:
-            stack.append((prefix + (_LEFT,), rights))
+    mid = length // 2
+    # Prefixes that end in the same state share its completions.
+    completions: dict[tuple[int, int], list[tuple[Step, ...]]] = {}
+    out: list[tuple[Step, ...]] = []
+    for prefix in _walks(k, n, mid):
+        r = prefix.count(_RIGHT)
+        state = (k + 2 * r - mid, n - r)
+        tails = completions.get(state)
+        if tails is None:
+            tails = completions[state] = _walks(*state, length - mid)
+        out += [prefix + tail for tail in tails]
     return out
+
+
+def enumerate_first_passage(
+    k: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[LatticePath]:
+    """Every absorbed trajectory from k with exactly n right steps.
+
+    Returned in canonical order (lexicographic in the R/L serialization,
+    'L' < 'R'), so the result is deterministic.  A depth-first search on an
+    explicit stack (no recursion limit) lists every prefix of mid =
+    (2n+k) // 2 steps that is not absorbed early; a prefix with r rights
+    and l lefts remaining sits at position l - r, so feasibility is kept by
+    construction.  Each distinct state a prefix ends in, its position and
+    the rights it has left, gets its completions to the full length from
+    the same search, once; every path is a prefix followed by one of its
+    state's completions, both in canonical order, so the concatenations
+    come out lexicographic.  Each path is validated as it is built.
+    """
+    return [LatticePath(k, steps) for steps in _first_passage_steps(k, n, cap)]
 
 
 def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, LatticePath]:
@@ -223,16 +252,19 @@ def partition_by_first_step(
     C_{k-1}(n+1) = C_k(n) + C_{k-2}(n+1).  Each part shares its first step,
     and stripping a common first step preserves canonical order, so each
     list equals the enumeration of its target, order included.
+
+    The sources come from the enumerator's search as raw step tuples, and
+    only the images are validated.  That checks the sources too: for
+    k >= 3 an image is a first-passage path exactly when its source is,
+    since the source's first step moves it from k - 1 >= 2 to the image's
+    start, k after 'R' and k - 2 >= 1 after 'L', and the rest of the walk
+    is the image's.
     """
     check_int(k, "k", 3)
     check_int(n, "n", 0)
-    to_k: list[LatticePath] = []
-    to_k_minus_2: list[LatticePath] = []
-    for path in enumerate_first_passage(k - 1, n + 1, cap=cap):
-        if path.steps[0] is _RIGHT:
-            to_k.append(LatticePath(k, path.steps[1:]))
-        else:
-            to_k_minus_2.append(LatticePath(k - 2, path.steps[1:]))
+    sources = _first_passage_steps(k - 1, n + 1, cap)
+    to_k = [LatticePath(k, s[1:]) for s in sources if s[0] is _RIGHT]
+    to_k_minus_2 = [LatticePath(k - 2, s[1:]) for s in sources if s[0] is _LEFT]
     return to_k, to_k_minus_2
 
 

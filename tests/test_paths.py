@@ -1,7 +1,8 @@
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruinpaths import (
@@ -26,6 +27,24 @@ R, L = Step.RIGHT, Step.LEFT
 
 def steps_of(text: str) -> tuple[Step, ...]:
     return tuple(Step(c) for c in text)
+
+
+def reference_first_passage(k: int, n: int) -> list[str]:
+    # Shares no search code with the enumerator: every R/L string with n
+    # rights, kept where is_first_passage accepts it, then sorted.
+    length = 2 * n + k
+    found = []
+    for rights in combinations(range(length), n):
+        text = "".join("R" if i in rights else "L" for i in range(length))
+        if is_first_passage(k, steps_of(text)):
+            found.append(f"{k}:{text}")
+    return sorted(found)
+
+
+# Cells with k <= 14 and 2n + k <= 16, odd and even lengths, n = 0 included.
+small_cells = st.integers(min_value=1, max_value=14).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(min_value=0, max_value=(16 - k) // 2))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +173,18 @@ def test_enumerate_smallest_cases():
     assert serialize_all(enumerate_first_passage(1, 0)) == ["1:L"]
     assert serialize_all(enumerate_first_passage(2, 1)) == ["2:LRLL", "2:RLLL"]
     assert len(enumerate_first_passage(1, 3)) == 5
+
+
+@settings(deadline=None)
+@given(small_cells)
+@example((1, 0))  # length 1: the prefix is empty
+@example((2, 0))
+@example((1, 1))
+@example((14, 1))
+@example((1, 7))
+def test_enumerate_equals_filtered_strings(cell):
+    k, n = cell
+    assert serialize_all(enumerate_first_passage(k, n)) == reference_first_passage(k, n)
 
 
 def test_enumerate_is_canonically_ordered_and_duplicate_free():
@@ -298,6 +329,19 @@ def test_partition_rejects_bad_input():
         partition_by_first_step(2, 1)
     with pytest.raises(EnumerationCapError):
         partition_by_first_step(3, 12)
+
+
+@settings(deadline=None)
+@given(small_cells.filter(lambda cell: cell[0] >= 3 and 2 * cell[1] + cell[0] <= 15))
+@example((3, 0))
+@example((14, 0))
+@example((3, 6))
+def test_partition_equals_filtered_strings(cell):
+    # Both lists in canonical order: source length 2(n+1) + k - 1 <= 16.
+    k, n = cell
+    to_k, to_k_minus_2 = partition_by_first_step(k, n)
+    assert serialize_all(to_k) == reference_first_passage(k, n)
+    assert serialize_all(to_k_minus_2) == reference_first_passage(k - 2, n + 1)
 
 
 def test_partition_identity_across_range():
