@@ -19,11 +19,36 @@ A walk is censored as soon as pos > max_steps - t, which is exactly when
 absorption within the remaining budget becomes impossible.  The horizon
 never influences which draws are consumed before an outcome is decided,
 only when the walk is declared censored.
+
+Workers: an estimate splits its trial indices into contiguous ranges, one
+per usable CPU and each of at least _SHARD_MIN_TRIALS trials.  The calling
+process walks the first range; worker processes walk the others and send
+back their absorbed counts, which the caller adds up.  Since a trial's
+outcome depends only on (seed, i), every count is the same for any split.
+Each worker is forked once, at the first estimate that splits, and serves
+every later estimate of the process: it is daemonic, it holds one end of a
+multiprocessing.Pipe, and it exits when the caller's end closes, so it does
+not outlive the caller (if the caller dies mid-estimate, the worker first
+finishes the range it is walking).  If the split section raises for any
+reason, an interrupt included, the caller terminates and drops its workers
+before re-raising, so that no count left unread in a pipe is taken by a
+later estimate; the next estimate forks new ones.
+
+An estimate runs serially, in the calling process alone, when it is too
+small to split, when fewer than two CPUs are usable, when fork is not the
+platform's default start method, when the caller is itself a daemonic
+process (which may not start children), when another thread of the process
+is already running a split estimate, and on Python 3.12 and later: there
+forking a process that has a second OS thread warns, and once numpy is
+imported this process has one (OpenBLAS's).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,11 +56,28 @@ from ._validate import check_int, check_probability
 from .probability import StepProbability
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
     import numpy as np
 
 _CHUNK = 128
 _BLOCK_THRESHOLD = 64
 _Z95 = 1.959963984540054
+# The fewest trials a range may hold.  On 2 CPUs a two-way split of 40-60
+# trials first beat the serial walk, depending on the walk regime, so an
+# estimate splits from 60 trials on: below that, a worker's round trip
+# costs more than the walks it takes over.
+_SHARD_MIN_TRIALS = 30
+
+# This process's workers, each with the caller's end of its pipe.  A child
+# forked by other means starts with none, so that it never reads from, or
+# writes to, the pipes of its parent's workers.
+_workers: list[tuple[BaseProcess, Connection]] = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)
+# Held by the one thread whose estimate uses the workers.
+_workers_lock = threading.Lock()
 
 
 def _check_walk(k: int, p: StepProbability, max_steps: int) -> None:
@@ -158,15 +200,43 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     """Run config.trials independent walks and tally absorptions.
 
     Deterministic: trial i consumes only its own substream keyed by
-    (config.seed, i), so the result is bit-identical across runs and
-    independent of how trials would be partitioned across workers.
+    (config.seed, i), so the result is bit-identical across runs and for
+    any partition of the trials.  Where the module docstring's conditions
+    allow, the trials are split into contiguous ranges, one per usable CPU:
+    this process walks the first and its persistent forked workers the
+    others.  Otherwise, and for fewer than 2 * _SHARD_MIN_TRIALS trials,
+    every trial runs here.
     """
+    walk = (config.k, float(config.p), config.max_steps, config.seed)
+    trials = config.trials
+    shards = _shard_count(trials)
+    if shards > 1 and _workers_lock.acquire(blocking=False):
+        try:
+            absorbed = _absorbed_in_shards(walk, trials, shards)
+        finally:
+            _workers_lock.release()
+    else:
+        absorbed = _absorbed_in_range(*walk, 0, trials)
+
+    censored = trials - absorbed
+    low, high = _wilson_interval(absorbed, trials)
+    return AbsorptionEstimate(
+        absorbed=absorbed,
+        censored=censored,
+        point=absorbed / trials,
+        ci_low=low,
+        ci_high=high,
+        is_lower_bound=censored > 0,
+    )
+
+
+def _absorbed_in_range(k: int, p: float, max_steps: int, seed: int, start: int, stop: int) -> int:
+    """The number of trials in [start, stop) whose walks are absorbed."""
     import numpy as np  # numpy loads here, at the first estimate; no other route needs it
 
-    p = float(config.p)
     # A uint64 key array: numpy would cast a list holding a seed >= 2**63
     # through float64.
-    bit_generator = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     stream = np.random.Generator(bit_generator)
     # The fresh state: zero counter, empty buffer.  The setter copies the dict
     # and drawing never writes to it, so setting it with key [seed, trial]
@@ -175,19 +245,77 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     key = state["state"]["key"]
 
     absorbed = 0
-    for trial in range(config.trials):
+    for trial in range(start, stop):
         key[1] = trial
         bit_generator.state = state
-        if isinstance(_walk(config.k, p, config.max_steps, stream), Absorbed):
+        if isinstance(_walk(k, p, max_steps, stream), Absorbed):
             absorbed += 1
+    return absorbed
 
-    censored = config.trials - absorbed
-    low, high = _wilson_interval(absorbed, config.trials)
-    return AbsorptionEstimate(
-        absorbed=absorbed,
-        censored=censored,
-        point=absorbed / config.trials,
-        ci_low=low,
-        ci_high=high,
-        is_lower_bound=censored > 0,
-    )
+
+def _shard_count(trials: int) -> int:
+    """How many ranges to split the trials into; 1 runs them serially."""
+    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
+        return 1
+    shards = min(len(os.sched_getaffinity(0)), trials // _SHARD_MIN_TRIALS)
+    if shards < 2:
+        return 1
+    import multiprocessing  # only an estimate that may split pays for this import
+
+    # The first start method listed is the platform's default.
+    forks = multiprocessing.get_all_start_methods()[0] == "fork"
+    return shards if forks and not multiprocessing.current_process().daemon else 1
+
+
+def _absorbed_in_shards(walk: tuple[int, float, int, int], trials: int, shards: int) -> int:
+    """_absorbed_in_range over all the trials, with the ranges after the
+    first walked by workers."""
+    import multiprocessing
+
+    # Loaded before the fork, so that a new worker does not import it again
+    # while the caller does: that made a fresh `simulate` slower than serial.
+    import numpy
+
+    context = multiprocessing.get_context("fork")
+    bounds = [trials * i // shards for i in range(shards + 1)]
+    try:
+        while len(_workers) < shards - 1:
+            caller_end, worker_end = context.Pipe()
+            inherited = [end for _, end in _workers] + [caller_end]
+            process = context.Process(target=_serve, args=(worker_end, inherited), daemon=True)
+            process.start()
+            worker_end.close()
+            _workers.append((process, caller_end))
+        workers = _workers[: shards - 1]
+        for (_, end), start, stop in zip(workers, bounds[1:], bounds[2:]):
+            end.send((*walk, start, stop))
+        absorbed = _absorbed_in_range(*walk, 0, bounds[1])
+        for _, end in workers:
+            absorbed += end.recv()
+    except BaseException:
+        for process, end in _workers:
+            process.terminate()
+            end.close()
+        for process, _ in _workers:
+            process.join()
+        _workers.clear()
+        raise
+    return absorbed
+
+
+def _serve(end: Connection, inherited: list[Connection]) -> None:
+    """A worker's life: walk each range the caller sends, send back its
+    absorbed count, and return once the caller's end has closed."""
+    import signal
+
+    # The caller's ends stay open in the caller alone, so that each worker's
+    # pipe reaches EOF as soon as the caller exits, however it exits.
+    for caller_end in inherited:
+        caller_end.close()
+    # An interrupt is the caller's to handle; it terminates its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            end.send(_absorbed_in_range(*end.recv()))
+    except (EOFError, ConnectionError):
+        pass

@@ -314,7 +314,10 @@ def _absorbed_in_trial_range(config: WalkConfig, lo: int, hi: int) -> int:
 
     absorbed = 0
     for trial in range(lo, hi):
-        stream = np.random.Generator(np.random.Philox(key=[config.seed, trial]))
+        # A uint64 key array: numpy casts a list holding a seed >= 2**63
+        # through float64, so [2**64 - 1, 5] would become [0, 5].
+        key = np.array([config.seed, trial], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key))
         outcome = run_walk(config.k, config.p, config.max_steps, stream)
         if isinstance(outcome, Absorbed):
             absorbed += 1

@@ -19,8 +19,10 @@ def test_all_lists_exactly_the_public_names():
 
 
 # numpy is the simulator's alone: the other routes and every non-simulating
-# command must run without importing it.  Each check needs an interpreter
-# in which nothing has imported numpy yet.
+# command must run without importing it.  multiprocessing is imported only
+# by an estimate large enough to split across workers, so start-up and
+# every command below stay without it.  Each check needs an interpreter in
+# which nothing has imported either yet.
 
 def fresh_last_line(code: str) -> str:
     """The last stdout line of `code` run in a new interpreter."""
@@ -31,7 +33,8 @@ def fresh_last_line(code: str) -> str:
 
 
 def test_import_does_not_load_numpy():
-    assert fresh_last_line("import sys, ruinpaths; print('numpy' in sys.modules)") == "False"
+    code = "import sys, ruinpaths; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
+    assert fresh_last_line(code) == "False False"
 
 
 @pytest.mark.parametrize(
@@ -60,9 +63,10 @@ def test_only_simulation_loads_numpy(argv, status, loads_numpy):
         "import sys\n"
         "from ruinpaths import cli\n"
         f"status = cli.main({argv!r})\n"
-        "print(status, 'numpy' in sys.modules)\n"
+        "print(status, 'numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
-    assert fresh_last_line(code) == f"{status} {loads_numpy}"
+    # The simulating commands run 10 trials, too few to split.
+    assert fresh_last_line(code) == f"{status} {loads_numpy} False"
 
 
 def test_walk_config_leaves_numpy_unloaded_until_an_estimate():

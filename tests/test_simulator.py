@@ -1,5 +1,9 @@
 import hashlib
 import math
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from fractions import Fraction
 from itertools import islice
@@ -215,6 +219,81 @@ def test_estimate_at_largest_seed_warns_nothing_and_matches_substreams():
         for trial in range(20)
     )
     assert estimate.absorbed == manual
+
+
+# ---------------------------------------------------------------------------
+# workers
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_split_does_not_change_counts(seed):
+    # 1, 2 and 3 contiguous ranges of the range kernel, the estimate however
+    # it ran (with workers from 2 * _SHARD_MIN_TRIALS trials on a host that
+    # forks), and the per-trial substreams all count alike.
+    k, p, max_steps, trials = 2, 0.55, 1000, 150
+    assert trials >= 3 * simulator._SHARD_MIN_TRIALS
+    manual = sum(
+        isinstance(run_walk(k, p, max_steps, substream(seed, trial)), Absorbed)
+        for trial in range(trials)
+    )
+    estimate = estimate_absorption(WalkConfig(k=k, p=p, max_steps=max_steps, trials=trials,
+                                              seed=seed))
+    assert estimate.absorbed == manual
+    for parts in (1, 2, 3):
+        bounds = [trials * i // parts for i in range(parts + 1)]
+        assert sum(
+            simulator._absorbed_in_range(k, p, max_steps, seed, start, stop)
+            for start, stop in zip(bounds, bounds[1:])
+        ) == manual
+
+
+def test_interrupted_estimate_leaves_no_count_behind(monkeypatch):
+    # An interrupt in the caller's own range must not leave the worker's
+    # count in its pipe, where the next estimate would read it as its own.
+    config = WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=9)
+    following = WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=10)
+    estimate_absorption(config)  # any workers are forked here, before the patch
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(simulator, "_walk", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        estimate_absorption(config)
+    monkeypatch.undo()
+    serial = simulator._absorbed_in_range(1, 0.6, 2000, 10, 0, 400)
+    assert estimate_absorption(following).absorbed == serial
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and has not exited.  An exited orphan is a
+    zombie (state Z) until PID 1 reaps it, which a container's init may
+    never do, so it counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_with_a_killed_caller():
+    code = (
+        "import os, signal\n"
+        "from ruinpaths import WalkConfig, estimate_absorption, simulator\n"
+        "estimate_absorption(WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=1))\n"
+        "print(*[process.pid for process, _ in simulator._workers], flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    # Not subprocess.run: it would wait for EOF on stdout, which the workers
+    # share.
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True) as proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    if not pids:
+        pytest.skip("this host runs estimates serially")
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, pids))
 
 
 # Outcomes held fixed across versions: any change to which draws a walk
