@@ -25,19 +25,23 @@ per usable CPU and each of at least _SHARD_MIN_TRIALS trials.  The calling
 process walks the first range; worker processes walk the others and send
 back their absorbed counts, which the caller adds up.  Since a trial's
 outcome depends only on (seed, i), every count is the same for any split.
-Each worker is forked once, at the first estimate that splits, and serves
-every later estimate of the process: it is daemonic, it holds one end of a
-multiprocessing.Pipe, and it exits when the caller's end closes, so it does
-not outlive the caller (if the caller dies mid-estimate, the worker first
-finishes the range it is walking).  If the split section raises for any
-reason, an interrupt included, the caller terminates and drops its workers
-before re-raising, so that no count left unread in a pipe is taken by a
-later estimate; the next estimate forks new ones.
+Each worker is forked (os.fork) once, at the first estimate that splits,
+and serves every later estimate of the process over two pipes: a request is
+one text line, "k p.hex() max_steps seed start stop", and a reply one line
+holding the absorbed count.  A worker ignores SIGINT, serves until its
+request pipe reaches EOF and always ends in os._exit, so that no atexit hook
+or inherited stdio buffer of the caller runs in it.  An at-fork hook closes
+the caller's ends of the pipes in every forked child, a user's or a new
+worker's, so each worker sees EOF as soon as its caller exits, however it
+exits (if the caller dies mid-estimate, the worker first finishes the range
+it is walking).  If the split section raises for any reason, an interrupt
+included, the caller kills, reaps and forgets its workers before
+re-raising, so that no count left unread in a pipe is taken by a later
+estimate; the next estimate forks new ones.
 
 An estimate runs serially, in the calling process alone, when it is too
-small to split, when fewer than two CPUs are usable, when fork is not the
-platform's default start method, when the caller is itself a daemonic
-process (which may not start children), when another thread of the process
+small to split, when fewer than two CPUs are usable (or the platform cannot
+tell: os.sched_getaffinity, Linux only), when another thread of the process
 is already running a split estimate, and on Python 3.12 and later: there
 forking a process that has a second OS thread warns, and once numpy is
 imported this process has one (OpenBLAS's).
@@ -45,20 +49,18 @@ imported this process has one (OpenBLAS's).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from ._validate import check_int, check_probability
 from .probability import StepProbability
 
 if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
-    from multiprocessing.process import BaseProcess
-
     import numpy as np
 
 _CHUNK = 128
@@ -70,12 +72,23 @@ _Z95 = 1.959963984540054
 # costs more than the walks it takes over.
 _SHARD_MIN_TRIALS = 30
 
-# This process's workers, each with the caller's end of its pipe.  A child
-# forked by other means starts with none, so that it never reads from, or
-# writes to, the pipes of its parent's workers.
-_workers: list[tuple[BaseProcess, Connection]] = []
+# This process's workers: (pid, the fd its requests are written to, the fd
+# its replies are read from).
+_workers: list[tuple[int, int, int]] = []
+
+
+def _forget_workers() -> None:
+    """Close the caller's ends of every worker's pipes and drop the workers:
+    in the caller once it has killed them, and in every forked child, which
+    this keeps off its parent's pipes."""
+    for _, request, reply in _workers:
+        os.close(request)
+        os.close(reply)
+    _workers.clear()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_workers.clear)
+    os.register_at_fork(after_in_child=_forget_workers)
 # Held by the one thread whose estimate uses the workers.
 _workers_lock = threading.Lock()
 
@@ -203,9 +216,9 @@ def estimate_absorption(config: WalkConfig) -> AbsorptionEstimate:
     (config.seed, i), so the result is bit-identical across runs and for
     any partition of the trials.  Where the module docstring's conditions
     allow, the trials are split into contiguous ranges, one per usable CPU:
-    this process walks the first and its persistent forked workers the
-    others.  Otherwise, and for fewer than 2 * _SHARD_MIN_TRIALS trials,
-    every trial runs here.
+    this process walks the first and its persistent workers, forked with
+    os.fork at the first split, the others.  Otherwise, and for fewer than
+    2 * _SHARD_MIN_TRIALS trials, every trial runs here.
     """
     walk = (config.k, float(config.p), config.max_steps, config.seed)
     trials = config.trials
@@ -257,65 +270,78 @@ def _shard_count(trials: int) -> int:
     """How many ranges to split the trials into; 1 runs them serially."""
     if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
         return 1
-    shards = min(len(os.sched_getaffinity(0)), trials // _SHARD_MIN_TRIALS)
-    if shards < 2:
-        return 1
-    import multiprocessing  # only an estimate that may split pays for this import
-
-    # The first start method listed is the platform's default.
-    forks = multiprocessing.get_all_start_methods()[0] == "fork"
-    return shards if forks and not multiprocessing.current_process().daemon else 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // _SHARD_MIN_TRIALS))
 
 
 def _absorbed_in_shards(walk: tuple[int, float, int, int], trials: int, shards: int) -> int:
     """_absorbed_in_range over all the trials, with the ranges after the
     first walked by workers."""
-    import multiprocessing
-
     # Loaded before the fork, so that a new worker does not import it again
     # while the caller does: that made a fresh `simulate` slower than serial.
     import numpy
 
-    context = multiprocessing.get_context("fork")
+    k, p, max_steps, seed = walk
     bounds = [trials * i // shards for i in range(shards + 1)]
     try:
         while len(_workers) < shards - 1:
-            caller_end, worker_end = context.Pipe()
-            inherited = [end for _, end in _workers] + [caller_end]
-            process = context.Process(target=_serve, args=(worker_end, inherited), daemon=True)
-            process.start()
-            worker_end.close()
-            _workers.append((process, caller_end))
+            _workers.append(_fork_worker())
         workers = _workers[: shards - 1]
-        for (_, end), start, stop in zip(workers, bounds[1:], bounds[2:]):
-            end.send((*walk, start, stop))
+        for (_, request, _), start, stop in zip(workers, bounds[1:], bounds[2:]):
+            os.write(request, f"{k} {p.hex()} {max_steps} {seed} {start} {stop}\n".encode())
         absorbed = _absorbed_in_range(*walk, 0, bounds[1])
-        for _, end in workers:
-            absorbed += end.recv()
+        for pid, _, reply in workers:
+            # One os.write of fewer than PIPE_BUF bytes, which a pipe delivers
+            # whole.
+            line = os.read(reply, 64)
+            if not line:
+                raise EOFError(f"simulator worker {pid} exited before replying")
+            absorbed += int(line)
     except BaseException:
-        for process, end in _workers:
-            process.terminate()
-            end.close()
-        for process, _ in _workers:
-            process.join()
-        _workers.clear()
+        import signal
+
+        for pid, *_ in _workers:
+            # Either call fails if something else has reaped the worker.
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        _forget_workers()
         raise
     return absorbed
 
 
-def _serve(end: Connection, inherited: list[Connection]) -> None:
-    """A worker's life: walk each range the caller sends, send back its
-    absorbed count, and return once the caller's end has closed."""
-    import signal
-
-    # The caller's ends stay open in the caller alone, so that each worker's
-    # pipe reaches EOF as soon as the caller exits, however it exits.
-    for caller_end in inherited:
-        caller_end.close()
-    # An interrupt is the caller's to handle; it terminates its workers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _fork_worker() -> tuple[int, int, int]:
+    """Fork one worker; its entry for _workers."""
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
     try:
-        while True:
-            end.send(_absorbed_in_range(*end.recv()))
-    except (EOFError, ConnectionError):
-        pass
+        pid = os.fork()
+    except OSError:
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # The at-fork hook has closed the caller's ends of the other
+        # workers' pipes; the worker closes those of its own.
+        _serve(request_r, reply_w, (request_w, reply_r))
+    os.close(request_r)
+    os.close(reply_w)
+    return pid, request_w, reply_r
+
+
+def _serve(requests: int, replies: int, caller_ends: tuple[int, int]) -> NoReturn:
+    """A worker's life: walk each range the caller requests and write back
+    its absorbed count, until the request pipe reaches EOF."""
+    try:
+        import signal
+
+        # An interrupt is the caller's to handle; it kills its workers.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for fd in caller_ends:
+            os.close(fd)
+        for line in os.fdopen(requests):
+            k, p, max_steps, seed, start, stop = line.split()
+            absorbed = _absorbed_in_range(int(k), float.fromhex(p), int(max_steps), int(seed),
+                                          int(start), int(stop))
+            os.write(replies, b"%d\n" % absorbed)
+    finally:
+        os._exit(0)

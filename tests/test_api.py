@@ -19,10 +19,9 @@ def test_all_lists_exactly_the_public_names():
 
 
 # numpy is the simulator's alone: the other routes and every non-simulating
-# command must run without importing it.  multiprocessing is imported only
-# by an estimate large enough to split across workers, so start-up and
-# every command below stay without it.  Each check needs an interpreter in
-# which nothing has imported either yet.
+# command must run without importing it.  Nothing imports multiprocessing,
+# not even an estimate that splits across workers (those are bare forks).
+# Each check needs an interpreter in which nothing has imported either yet.
 
 def fresh_last_line(code: str) -> str:
     """The last stdout line of `code` run in a new interpreter."""
@@ -55,6 +54,8 @@ def test_import_does_not_load_numpy():
         (["simulate", "--k", "1", "--p", "0.6", "--trials", "10", "--seed", "1"], 0, True),
         (["prob", "--k", "1", "--p", "0.6", "--method", "simulate", "--trials", "10",
           "--seed", "1"], 0, True),
+        # Enough trials to split on 2 CPUs.
+        (["simulate", "--k", "1", "--p", "0.6", "--trials", "200", "--seed", "1"], 0, True),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -65,7 +66,6 @@ def test_only_simulation_loads_numpy(argv, status, loads_numpy):
         f"status = cli.main({argv!r})\n"
         "print(status, 'numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
-    # The simulating commands run 10 trials, too few to split.
     assert fresh_last_line(code) == f"{status} {loads_numpy} False"
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -275,12 +276,18 @@ def running(pid: int) -> bool:
         return False
 
 
-def test_workers_exit_with_a_killed_caller():
+@pytest.mark.parametrize("user_child", [False, True], ids=["alone", "with a user child"])
+def test_workers_exit_with_a_killed_caller(user_child):
+    # A child that the caller forked, and that outlives it, must not keep
+    # the workers' pipes open.
     code = (
-        "import os, signal\n"
+        "import os, signal, time\n"
         "from ruinpaths import WalkConfig, estimate_absorption, simulator\n"
         "estimate_absorption(WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=1))\n"
-        "print(*[process.pid for process, _ in simulator._workers], flush=True)\n"
+        "print(*[pid for pid, *_ in simulator._workers], flush=True)\n"
+        f"if {user_child} and os.fork() == 0:\n"
+        "    time.sleep(10)\n"
+        "    os._exit(0)\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"
     )
     # Not subprocess.run: it would wait for EOF on stdout, which the workers
@@ -294,6 +301,88 @@ def test_workers_exit_with_a_killed_caller():
     while any(map(running, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(running, pids))
+
+
+def fresh_stdout(code: str) -> str:
+    """The stdout of `code` run in a new interpreter whose stdout is
+    block-buffered, as it is for any pipe unless PYTHONUNBUFFERED is set."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, timeout=60).stdout
+
+
+SPLIT_ESTIMATE = (
+    "from ruinpaths import WalkConfig, estimate_absorption, simulator\n"
+    "config = WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=1)\n"
+    "serial = simulator._absorbed_in_range(1, 0.6, 2000, 1, 0, 400)\n"
+)
+
+
+def test_estimate_after_a_user_child_exits_is_correct():
+    # The user's child leaves through the interpreter, which runs every
+    # atexit hook it inherited; none of them may touch the parent's workers.
+    code = SPLIT_ESTIMATE + (
+        "import os, sys\n"
+        "estimate_absorption(config)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    sys.exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "print(estimate_absorption(config).absorbed == serial)\n"
+    )
+    assert fresh_stdout(code) == "True\n"
+
+
+def test_buffered_stdout_is_written_once():
+    # A worker inherits the caller's unflushed stdout buffer and must never
+    # write it out.
+    code = SPLIT_ESTIMATE + (
+        "print('before')\n"
+        "estimate_absorption(config)\n"
+        "print('after')\n"
+    )
+    assert fresh_stdout(code) == "before\nafter\n"
+
+
+def test_a_killed_worker_never_gives_a_wrong_count():
+    config = WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=3)
+    serial = simulator._absorbed_in_range(1, 0.6, 2000, 3, 0, 400)
+    assert estimate_absorption(config).absorbed == serial
+    if not simulator._workers:
+        pytest.skip("this host runs estimates serially")
+    pid = simulator._workers[0][0]
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    try:
+        absorbed = estimate_absorption(config).absorbed
+    except OSError:
+        pass  # the dead worker's pipe; the estimate forgets its workers
+    else:
+        assert absorbed == serial
+    assert estimate_absorption(config).absorbed == serial
+
+
+def _estimate_in_a_daemon(connection) -> None:
+    estimate = estimate_absorption(WalkConfig(k=1, p=0.6, max_steps=2000, trials=400, seed=4))
+    connection.send((estimate.absorbed, len(simulator._workers)))
+
+
+def test_estimate_in_a_daemonic_process_is_correct():
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    caller_end, daemon_end = context.Pipe()
+    daemon = context.Process(target=_estimate_in_a_daemon, args=(daemon_end,), daemon=True)
+    daemon.start()
+    try:
+        assert caller_end.poll(60)
+        absorbed, workers = caller_end.recv()
+    finally:
+        daemon.join(timeout=60)
+    assert absorbed == simulator._absorbed_in_range(1, 0.6, 2000, 4, 0, 400)
+    assert workers == simulator._shard_count(400) - 1
 
 
 # Outcomes held fixed across versions: any change to which draws a walk
