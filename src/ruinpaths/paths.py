@@ -13,8 +13,11 @@ with no reference to the closed-form counts.  The search splits each path at
 its midpoint, the standard first-passage decomposition (Flajolet and
 Sedgewick, Analytic Combinatorics, ch. I): a prefix that stays positive, then
 a first-passage path from where the prefix ends.  It lists the prefixes,
-lists each distinct end state's completions once, and joins them; every
-path it returns is validated as a LatticePath.
+lists each distinct end state's completions once, and joins them.  By the
+same decomposition, a join is first passage when both halves are: each
+prefix is checked to stay positive and end where its state says, and each
+state's completions to be first passage from there, once per call, so every
+path it returns is a valid LatticePath without a second walk of its steps.
 """
 
 from __future__ import annotations
@@ -44,19 +47,25 @@ class Step(Enum):
 # Reading a member off the class runs Python code (about 0.2 us on Python
 # 3.11); the per-path code below reads these names instead.
 _RIGHT, _LEFT = Step.RIGHT, Step.LEFT
+# A frozen dataclass's own __setattr__ raises; fields are set through these.
+_new, _set = object.__new__, object.__setattr__
 
 
-def _walk_is_first_passage(start: int, steps: tuple[Step, ...]) -> bool:
-    # Only Step members (the two counts run in C, not per step in Python),
-    # positive before every step, zero after the last.
+def _walk_end(start: int, steps: tuple[Step, ...]) -> int | None:
+    # Where a walk of Step members ends if it is positive before every step,
+    # else None.  The two counts run in C, not per step in Python.
     if steps.count(_RIGHT) + steps.count(_LEFT) != len(steps):
-        return False
+        return None
     pos = start
     for s in steps:
         if pos <= 0:
-            return False
+            return None
         pos += s.delta
-    return pos == 0
+    return pos
+
+
+def _walk_is_first_passage(start: int, steps: tuple[Step, ...]) -> bool:
+    return _walk_end(start, steps) == 0
 
 
 def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
@@ -68,28 +77,31 @@ def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
     return _walk_is_first_passage(start, tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticePath:
     """An absorbed trajectory: start position plus its step sequence.
 
     Validated on construction, so every LatticePath in existence satisfies
-    the first-passage invariants.  Step counts are derived, never stored:
-    right_steps() gives n, and len(steps) == 2n + start.
+    the first-passage invariants; the enumerator builds its paths from
+    halves it has validated instead (see _joins).  Step counts are derived,
+    never stored: right_steps() gives n, and len(steps) == 2n + start.
     """
 
     start: int
     steps: tuple[Step, ...]
 
-    def __post_init__(self) -> None:
-        check_int(self.start, "start", 1)
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not _walk_is_first_passage(self.start, self.steps):
-            if not all(isinstance(s, Step) for s in self.steps):
-                raise ValueError(f"steps must be Step members, got {self.steps!r}")
+    def __init__(self, start: int, steps: Sequence[Step]) -> None:
+        check_int(start, "start", 1)
+        steps = tuple(steps)
+        if not _walk_is_first_passage(start, steps):
+            if not all(isinstance(s, Step) for s in steps):
+                raise ValueError(f"steps must be Step members, got {steps!r}")
             raise ValueError(
-                f"not a first-passage sequence from {self.start}: "
-                f"{''.join(s._value_ for s in self.steps)!r}"
+                f"not a first-passage sequence from {start}: "
+                f"{''.join(s._value_ for s in steps)!r}"
             )
+        _set(self, "start", start)
+        _set(self, "steps", steps)
 
     def right_steps(self) -> int:
         return self.steps.count(_RIGHT)
@@ -141,8 +153,14 @@ def _walks(start: int, rights: int, depth: int) -> list[tuple[Step, ...]]:
     return out
 
 
-def _first_passage_steps(k: int, n: int, cap: int) -> list[tuple[Step, ...]]:
-    # The step tuples of enumerate_first_passage(k, n, cap=cap), unvalidated.
+def _first_passage_halves(
+    k: int, n: int, cap: int
+) -> list[tuple[tuple[Step, ...], int, list[tuple[Step, ...]], bool]]:
+    # The paths of enumerate_first_passage(k, n, cap=cap) in halves: one
+    # (prefix, end, tails, tails_ok) per prefix, in canonical order, where
+    # prefix + tail for each tail in turn are its paths.  Prefixes are not
+    # checked here; tails_ok says whether every tail is first passage from
+    # end, checked once per state.
     check_int(k, "k", 1)
     check_int(n, "n", 0)
     check_int(cap, "cap", 0)
@@ -153,16 +171,45 @@ def _first_passage_steps(k: int, n: int, cap: int) -> list[tuple[Step, ...]]:
         )
     mid = length // 2
     # Prefixes that end in the same state share its completions.
-    completions: dict[tuple[int, int], list[tuple[Step, ...]]] = {}
-    out: list[tuple[Step, ...]] = []
+    completions: dict[tuple[int, int], tuple[list[tuple[Step, ...]], bool]] = {}
+    out = []
     for prefix in _walks(k, n, mid):
         r = prefix.count(_RIGHT)
-        state = (k + 2 * r - mid, n - r)
-        tails = completions.get(state)
-        if tails is None:
-            tails = completions[state] = _walks(*state, length - mid)
-        out += [prefix + tail for tail in tails]
+        end = k + 2 * r - mid
+        state = (end, n - r)
+        shared = completions.get(state)
+        if shared is None:
+            tails = _walks(*state, length - mid)
+            shared = completions[state] = (
+                tails, all(_walk_end(end, t) == 0 for t in tails)
+            )
+        out.append((prefix, end, *shared))
     return out
+
+
+def _joins(
+    start: int,
+    prefix: tuple[Step, ...],
+    end: int,
+    tails: list[tuple[Step, ...]],
+    tails_ok: bool,
+) -> list[LatticePath]:
+    # prefix + tail as a LatticePath for each tail.  A walk is first passage
+    # from start exactly when it is positive before every step and its last
+    # step reaches 0, so a prefix that stays positive and ends at end,
+    # followed by a first-passage walk from end, is a first-passage walk
+    # from start: the halves are checked, not each join.  If either half
+    # fails, every join goes through the validating constructor, which
+    # raises its own error at the first join that is not first passage.
+    if tails_ok and _walk_end(start, prefix) == end:
+        paths = []
+        for tail in tails:
+            path = _new(LatticePath)
+            _set(path, "start", start)
+            _set(path, "steps", prefix + tail)
+            paths.append(path)
+        return paths
+    return [LatticePath(start, prefix + tail) for tail in tails]
 
 
 def enumerate_first_passage(
@@ -179,9 +226,13 @@ def enumerate_first_passage(
     the rights it has left, gets its completions to the full length from
     the same search, once; every path is a prefix followed by one of its
     state's completions, both in canonical order, so the concatenations
-    come out lexicographic.  Each path is validated as it is built.
+    come out lexicographic.  Each prefix and each state's completions are
+    validated once per call, which validates every path built from them.
     """
-    return [LatticePath(k, steps) for steps in _first_passage_steps(k, n, cap)]
+    out: list[LatticePath] = []
+    for prefix, end, tails, tails_ok in _first_passage_halves(k, n, cap):
+        out += _joins(k, prefix, end, tails, tails_ok)
+    return out
 
 
 def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, LatticePath]:
@@ -253,18 +304,23 @@ def partition_by_first_step(
     and stripping a common first step preserves canonical order, so each
     list equals the enumeration of its target, order included.
 
-    The sources come from the enumerator's search as raw step tuples, and
-    only the images are validated.  That checks the sources too: for
-    k >= 3 an image is a first-passage path exactly when its source is,
-    since the source's first step moves it from k - 1 >= 2 to the image's
-    start, k after 'R' and k - 2 >= 1 after 'L', and the rest of the walk
-    is the image's.
+    The sources come from the enumerator's search in halves, and only the
+    images are validated: each stripped prefix from k or k - 2, each
+    state's completions once.  That checks the sources too: for k >= 3 an
+    image is a first-passage path exactly when its source is, since the
+    source's first step moves it from k - 1 >= 2 to the image's start, k
+    after 'R' and k - 2 >= 1 after 'L', and the rest of the walk is the
+    image's.
     """
     check_int(k, "k", 3)
     check_int(n, "n", 0)
-    sources = _first_passage_steps(k - 1, n + 1, cap)
-    to_k = [LatticePath(k, s[1:]) for s in sources if s[0] is _RIGHT]
-    to_k_minus_2 = [LatticePath(k - 2, s[1:]) for s in sources if s[0] is _LEFT]
+    to_k: list[LatticePath] = []
+    to_k_minus_2: list[LatticePath] = []
+    for prefix, end, tails, tails_ok in _first_passage_halves(k - 1, n + 1, cap):
+        if prefix[0] is _RIGHT:
+            to_k += _joins(k, prefix[1:], end, tails, tails_ok)
+        elif prefix[0] is _LEFT:
+            to_k_minus_2 += _joins(k - 2, prefix[1:], end, tails, tails_ok)
     return to_k, to_k_minus_2
 
 

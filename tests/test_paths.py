@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from ruinpaths import (
     serialize_all,
     shift_bijection_k2,
 )
+from ruinpaths import paths
 
 R, L = Step.RIGHT, Step.LEFT
 
@@ -60,6 +62,24 @@ def test_path_construction_and_counts():
     assert p.right_steps() == 1
     assert len(p) == 4
     assert p == LatticePath(2, list(steps_of("RLLL")))  # sequence coerced to tuple
+
+
+def test_path_is_a_frozen_value():
+    p = LatticePath(2, steps_of("RLLL"))
+    assert p == LatticePath(start=2, steps=steps_of("RLLL"))
+    assert hash(p) == hash(LatticePath(2, list(steps_of("RLLL"))))
+    assert p != LatticePath(2, steps_of("LRLL"))
+    assert repr(p) == (
+        "LatticePath(start=2, steps=(<Step.RIGHT: 'R'>, <Step.LEFT: 'L'>, "
+        "<Step.LEFT: 'L'>, <Step.LEFT: 'L'>))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.start = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.steps = ()
+    assert dataclasses.replace(p, start=4, steps=steps_of("LLLL")) == path_from_string("4:LLLL")
+    with pytest.raises(ValueError, match="^not a first-passage sequence from 3: 'RLLL'$"):
+        dataclasses.replace(p, start=3)
 
 
 @pytest.mark.parametrize(
@@ -185,6 +205,64 @@ def test_enumerate_smallest_cases():
 def test_enumerate_equals_filtered_strings(cell):
     k, n = cell
     assert serialize_all(enumerate_first_passage(k, n)) == reference_first_passage(k, n)
+
+
+@settings(deadline=None)
+@given(small_cells)
+@example((1, 0))
+@example((3, 6))
+def test_every_returned_path_is_a_valid_lattice_path(cell):
+    k, n = cell
+    found = enumerate_first_passage(k, n)
+    if k >= 3 and 2 * n + k <= 15:
+        to_k, to_k_minus_2 = partition_by_first_step(k, n)
+        found += to_k + to_k_minus_2
+    for p in found:
+        assert type(p) is LatticePath
+        assert is_first_passage(p.start, p.steps)
+        assert p == LatticePath(p.start, p.steps)
+
+
+def _spoil(walks, start, how):
+    # Spoil the first walk that allows it.  "dips": the lefts of a walk with
+    # at least `start` lefts and one right moved to the front, so it reaches
+    # 0 with steps still to go.  "short": a walk ending in a left loses it,
+    # so it stays positive but ends one above where it should.
+    for i, walk in enumerate(walks):
+        if how == "dips" and walk.count(L) >= start and R in walk:
+            walks[i] = (L,) * walk.count(L) + (R,) * walk.count(R)
+            return True
+        if how == "short" and walk[-1:] == (L,):
+            walks[i] = walk[:-1]
+            return True
+    return False
+
+
+@pytest.mark.parametrize("half", ["prefix", "completion"])
+@pytest.mark.parametrize("how", ["dips", "short"])
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_first_passage(1, 4),
+    lambda: enumerate_first_passage(4, 5),
+    lambda: partition_by_first_step(3, 3),
+    lambda: partition_by_first_step(5, 2),
+], ids=["enumerate-1-4", "enumerate-4-5", "partition-3-3", "partition-5-2"])
+def test_a_spoiled_half_is_rejected(half, how, build, monkeypatch):
+    # The search lists the prefixes in its first _walks call and each
+    # state's completions in later ones; spoil one walk of one of them.
+    real_walks = paths._walks
+    calls = []
+
+    def spoiled(start, rights, depth):
+        walks = real_walks(start, rights, depth)
+        calls.append(start)
+        if len(calls) == (1 if half == "prefix" else 2):
+            assert _spoil(walks, start, how)
+        return walks
+
+    monkeypatch.setattr(paths, "_walks", spoiled)
+    with pytest.raises(ValueError, match="^not a first-passage sequence from "):
+        build()
+    assert len(calls) >= 2
 
 
 def test_enumerate_is_canonically_ordered_and_duplicate_free():
