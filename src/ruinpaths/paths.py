@@ -18,10 +18,20 @@ same decomposition, a join is first passage when both halves are: each
 prefix is checked to stay positive and end where its state says, and each
 state's completions to be first passage from there, once per call, so every
 path it returns is a valid LatticePath without a second walk of its steps.
+
+Step is a str enum: each member is a one-character str equal to its letter
+(Step.RIGHT == "R"), so a path serializes with one str.join.  A walk still
+accepts only Step members; a plain "R" or "L" is not one.  The enumerator
+pauses the process-wide cyclic garbage collector while it builds its paths
+and restores the state it found: the join loops create no reference cycles,
+and every path they build stays reachable, so a collection there frees
+nothing but walks every step tuple built so far.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -35,7 +45,15 @@ class EnumerationCapError(ValueError):
     """Raised when a requested enumeration exceeds the configured size cap."""
 
 
-class Step(Enum):
+class Step(str, Enum):
+    """One step of a walk: RIGHT (+1) or LEFT (-1).
+
+    A str enum: each member is the one-character str of its letter and
+    equals it (Step.RIGHT == "R"), so "".join(path.steps) is the step part
+    of a path's serialization.  Equality is not membership: walks and paths
+    accept only Step members, never the plain letters.
+    """
+
     RIGHT = "R"
     LEFT = "L"
 
@@ -47,14 +65,16 @@ class Step(Enum):
 # Reading a member off the class runs Python code (about 0.2 us on Python
 # 3.11); the per-path code below reads these names instead.
 _RIGHT, _LEFT = Step.RIGHT, Step.LEFT
+# A str Step equals its letter, so walks test each element's exact type.
+_STEP_TYPE = frozenset({Step})
 # A frozen dataclass's own __setattr__ raises; fields are set through these.
 _new, _set = object.__new__, object.__setattr__
 
 
 def _walk_end(start: int, steps: tuple[Step, ...]) -> int | None:
     # Where a walk of Step members ends if it is positive before every step,
-    # else None.  The two counts run in C, not per step in Python.
-    if steps.count(_RIGHT) + steps.count(_LEFT) != len(steps):
+    # else None.  The type test runs in C, not per step in Python.
+    if not _STEP_TYPE.issuperset(map(type, steps)):
         return None
     pos = start
     for s in steps:
@@ -77,7 +97,7 @@ def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
     return _walk_is_first_passage(start, tuple(steps))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class LatticePath:
     """An absorbed trajectory: start position plus its step sequence.
 
@@ -85,6 +105,9 @@ class LatticePath:
     the first-passage invariants; the enumerator builds its paths from
     halves it has validated instead (see _joins).  Step counts are derived,
     never stored: right_steps() gives n, and len(steps) == 2n + start.
+    steps holds Step members only, each a str equal to its letter.  The
+    class has slots and no __dict__, so a path is two objects, itself and
+    its step tuple.
     """
 
     start: int
@@ -98,7 +121,7 @@ class LatticePath:
                 raise ValueError(f"steps must be Step members, got {steps!r}")
             raise ValueError(
                 f"not a first-passage sequence from {start}: "
-                f"{''.join(s._value_ for s in steps)!r}"
+                f"{''.join(steps)!r}"
             )
         _set(self, "start", start)
         _set(self, "steps", steps)
@@ -112,8 +135,7 @@ class LatticePath:
 
 def path_to_string(path: LatticePath) -> str:
     """Canonical serialization: start, colon, one R/L character per step."""
-    # _value_ is plain member data; the enum's value property runs Python code.
-    return f"{path.start}:" + "".join([s._value_ for s in path.steps])
+    return f"{path.start}:" + "".join(path.steps)
 
 
 def path_from_string(text: str) -> LatticePath:
@@ -212,6 +234,19 @@ def _joins(
     return [LatticePath(start, prefix + tail) for tail in tails]
 
 
+@contextmanager
+def _collector_paused():
+    # The cyclic collector off for the block, then back in the state it was
+    # found in, also when the block raises (see the module docstring).
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def enumerate_first_passage(
     k: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[LatticePath]:
@@ -228,10 +263,13 @@ def enumerate_first_passage(
     state's completions, both in canonical order, so the concatenations
     come out lexicographic.  Each prefix and each state's completions are
     validated once per call, which validates every path built from them.
+    The process-wide cyclic garbage collector is paused for the call and
+    left as it was found.
     """
     out: list[LatticePath] = []
-    for prefix, end, tails, tails_ok in _first_passage_halves(k, n, cap):
-        out += _joins(k, prefix, end, tails, tails_ok)
+    with _collector_paused():
+        for prefix, end, tails, tails_ok in _first_passage_halves(k, n, cap):
+            out += _joins(k, prefix, end, tails, tails_ok)
     return out
 
 
@@ -310,17 +348,19 @@ def partition_by_first_step(
     image is a first-passage path exactly when its source is, since the
     source's first step moves it from k - 1 >= 2 to the image's start, k
     after 'R' and k - 2 >= 1 after 'L', and the rest of the walk is the
-    image's.
+    image's.  Like the enumerator, it pauses the cyclic garbage collector
+    for the call and leaves it as it was found.
     """
     check_int(k, "k", 3)
     check_int(n, "n", 0)
     to_k: list[LatticePath] = []
     to_k_minus_2: list[LatticePath] = []
-    for prefix, end, tails, tails_ok in _first_passage_halves(k - 1, n + 1, cap):
-        if prefix[0] is _RIGHT:
-            to_k += _joins(k, prefix[1:], end, tails, tails_ok)
-        elif prefix[0] is _LEFT:
-            to_k_minus_2 += _joins(k - 2, prefix[1:], end, tails, tails_ok)
+    with _collector_paused():
+        for prefix, end, tails, tails_ok in _first_passage_halves(k - 1, n + 1, cap):
+            if prefix[0] is _RIGHT:
+                to_k += _joins(k, prefix[1:], end, tails, tails_ok)
+            elif prefix[0] is _LEFT:
+                to_k_minus_2 += _joins(k - 2, prefix[1:], end, tails, tails_ok)
     return to_k, to_k_minus_2
 
 

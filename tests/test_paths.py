@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import gc
+import pickle
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -55,6 +58,10 @@ small_cells = st.integers(min_value=1, max_value=14).flatmap(
 def test_step_symbols():
     assert Step("R") is R and Step("L") is L
     assert R.delta == 1 and L.delta == -1
+    # A str enum: each member equals its letter, so steps join to the text.
+    assert Step.RIGHT == "R" and Step.LEFT == "L"
+    for text in ["", "L", "RLLL", "RRLRLLLL"]:
+        assert "".join(steps_of(text)) == text
 
 
 def test_path_construction_and_counts():
@@ -80,6 +87,10 @@ def test_path_is_a_frozen_value():
     assert dataclasses.replace(p, start=4, steps=steps_of("LLLL")) == path_from_string("4:LLLL")
     with pytest.raises(ValueError, match="^not a first-passage sequence from 3: 'RLLL'$"):
         dataclasses.replace(p, start=3)
+    assert not hasattr(p, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p)
+        assert clone.steps[0] is R and type(clone) is LatticePath
 
 
 @pytest.mark.parametrize(
@@ -125,6 +136,17 @@ def test_non_step_elements_are_rejected():
     assert is_first_passage(2, [L, fake_left]) is False
     with pytest.raises(ValueError, match="^steps must be Step members"):
         LatticePath(1, (fake_left,))
+    # A Step equals its letter, yet plain letters among members are refused.
+    assert is_first_passage(2, [R, "L", "L", "L"]) is False
+    assert is_first_passage(2, ["R", L, L, L]) is False
+    with pytest.raises(ValueError, match="^steps must be Step members"):
+        LatticePath(2, (R, L, "L", L))
+    # So is a str subclass that looks like a left step.
+    fake_str_left = type("Letter", (str,), {"delta": -1})("L")
+    assert is_first_passage(1, [fake_str_left]) is False
+    assert is_first_passage(2, [L, fake_str_left]) is False
+    with pytest.raises(ValueError, match="^steps must be Step members"):
+        LatticePath(1, (fake_str_left,))
 
 
 @given(
@@ -238,19 +260,11 @@ def _spoil(walks, start, how):
     return False
 
 
-@pytest.mark.parametrize("half", ["prefix", "completion"])
-@pytest.mark.parametrize("how", ["dips", "short"])
-@pytest.mark.parametrize("build", [
-    lambda: enumerate_first_passage(1, 4),
-    lambda: enumerate_first_passage(4, 5),
-    lambda: partition_by_first_step(3, 3),
-    lambda: partition_by_first_step(5, 2),
-], ids=["enumerate-1-4", "enumerate-4-5", "partition-3-3", "partition-5-2"])
-def test_a_spoiled_half_is_rejected(half, how, build, monkeypatch):
+def _spoil_walks(monkeypatch, half, how, calls):
     # The search lists the prefixes in its first _walks call and each
     # state's completions in later ones; spoil one walk of one of them.
+    # Each call's start is appended to calls.
     real_walks = paths._walks
-    calls = []
 
     def spoiled(start, rights, depth):
         walks = real_walks(start, rights, depth)
@@ -260,9 +274,50 @@ def test_a_spoiled_half_is_rejected(half, how, build, monkeypatch):
         return walks
 
     monkeypatch.setattr(paths, "_walks", spoiled)
+
+
+@pytest.mark.parametrize("half", ["prefix", "completion"])
+@pytest.mark.parametrize("how", ["dips", "short"])
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_first_passage(1, 4),
+    lambda: enumerate_first_passage(4, 5),
+    lambda: partition_by_first_step(3, 3),
+    lambda: partition_by_first_step(5, 2),
+], ids=["enumerate-1-4", "enumerate-4-5", "partition-3-3", "partition-5-2"])
+def test_a_spoiled_half_is_rejected(half, how, build, monkeypatch):
+    calls = []
+    _spoil_walks(monkeypatch, half, how, calls)
     with pytest.raises(ValueError, match="^not a first-passage sequence from "):
         build()
     assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("build, spoiled, error", [
+    (lambda: enumerate_first_passage(3, 4), False, None),
+    (lambda: partition_by_first_step(4, 3), False, None),
+    (lambda: enumerate_first_passage(1, 13), False, "exceeds enumeration cap"),
+    (lambda: partition_by_first_step(3, 12), False, "exceeds enumeration cap"),
+    (lambda: enumerate_first_passage(4, 5), True, "^not a first-passage sequence from "),
+    (lambda: partition_by_first_step(5, 2), True, "^not a first-passage sequence from "),
+], ids=["enumerate", "partition", "enumerate-cap", "partition-cap",
+        "enumerate-spoiled", "partition-spoiled"])
+def test_the_collector_state_is_restored(enabled, build, spoiled, error, monkeypatch):
+    # The enumerator pauses the cyclic collector while it joins; whether it
+    # returns or raises, it must leave the collector as the caller had it.
+    if spoiled:
+        _spoil_walks(monkeypatch, "completion", "dips", [])
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            build()
+        else:
+            with pytest.raises(ValueError, match=error):
+                build()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_enumerate_is_canonically_ordered_and_duplicate_free():
