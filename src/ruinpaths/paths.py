@@ -23,18 +23,17 @@ Step is a str enum: each member is a one-character str equal to its letter
 (Step.RIGHT == "R"), so a path serializes with one str.join.  A walk still
 accepts only Step members; a plain "R" or "L" is not one.  The enumerator
 pauses the process-wide cyclic garbage collector while it builds its paths
-and restores the state it found: the join loops create no reference cycles,
-and every path they build stays reachable, so a collection there frees
+and restores the state it found: the search creates no reference cycles,
+and every path it builds stays reachable, so a collection there frees
 nothing but walks every step tuple built so far.
 """
 
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._validate import check_int
 
@@ -67,6 +66,8 @@ class Step(str, Enum):
 _RIGHT, _LEFT = Step.RIGHT, Step.LEFT
 # A str Step equals its letter, so walks test each element's exact type.
 _STEP_TYPE = frozenset({Step})
+# Enum lookup by value, Step(c), runs Python code; a dict read runs in C.
+_STEP_OF_LETTER = {s.value: s for s in Step}
 # A frozen dataclass's own __setattr__ raises; fields are set through these.
 _new, _set = object.__new__, object.__setattr__
 
@@ -84,17 +85,13 @@ def _walk_end(start: int, steps: tuple[Step, ...]) -> int | None:
     return pos
 
 
-def _walk_is_first_passage(start: int, steps: tuple[Step, ...]) -> bool:
-    return _walk_end(start, steps) == 0
-
-
 def is_first_passage(start: int, steps: Sequence[Step]) -> bool:
     """True iff (start, steps) is a complete absorbed trajectory."""
     try:
         check_int(start, "start", 1)
     except (TypeError, ValueError):
         return False
-    return _walk_is_first_passage(start, tuple(steps))
+    return _walk_end(start, tuple(steps)) == 0
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -103,11 +100,11 @@ class LatticePath:
 
     Validated on construction, so every LatticePath in existence satisfies
     the first-passage invariants; the enumerator builds its paths from
-    halves it has validated instead (see _joins).  Step counts are derived,
-    never stored: right_steps() gives n, and len(steps) == 2n + start.
-    steps holds Step members only, each a str equal to its letter.  The
-    class has slots and no __dict__, so a path is two objects, itself and
-    its step tuple.
+    halves it has validated instead (see _first_passage_paths).  Step
+    counts are derived, never stored: right_steps() gives n, and
+    len(steps) == 2n + start.  steps holds Step members only, each a str
+    equal to its letter.  The class has slots and no __dict__, so a path is
+    two objects, itself and its step tuple.
     """
 
     start: int
@@ -116,7 +113,7 @@ class LatticePath:
     def __init__(self, start: int, steps: Sequence[Step]) -> None:
         check_int(start, "start", 1)
         steps = tuple(steps)
-        if not _walk_is_first_passage(start, steps):
+        if _walk_end(start, steps) != 0:
             if not all(isinstance(s, Step) for s in steps):
                 raise ValueError(f"steps must be Step members, got {steps!r}")
             raise ValueError(
@@ -151,8 +148,8 @@ def path_from_string(text: str) -> LatticePath:
     except ValueError:
         raise ValueError(f"bad start position in {text!r}") from None
     try:
-        steps = tuple(Step(c) for c in body)
-    except ValueError:
+        steps = tuple(map(_STEP_OF_LETTER.__getitem__, body))
+    except KeyError:
         raise ValueError(f"steps must be 'R'/'L' characters in {text!r}") from None
     return LatticePath(start, steps)
 
@@ -175,14 +172,25 @@ def _walks(start: int, rights: int, depth: int) -> list[tuple[Step, ...]]:
     return out
 
 
-def _first_passage_halves(
-    k: int, n: int, cap: int
-) -> list[tuple[tuple[Step, ...], int, list[tuple[Step, ...]], bool]]:
-    # The paths of enumerate_first_passage(k, n, cap=cap) in halves: one
-    # (prefix, end, tails, tails_ok) per prefix, in canonical order, where
-    # prefix + tail for each tail in turn are its paths.  Prefixes are not
-    # checked here; tails_ok says whether every tail is first passage from
-    # end, checked once per state.
+def _first_passage_paths(
+    k: int,
+    n: int,
+    cap: int,
+    split: Callable[[tuple[Step, ...]], tuple[int, tuple[Step, ...]]],
+) -> dict[int, list[LatticePath]]:
+    # The search behind enumerate_first_passage(k, n, cap=cap), with its
+    # paths built as split places them: split maps each prefix to
+    # (start, head), and head + tail for each completion tail of the
+    # prefix's state becomes a LatticePath from start, kept under start,
+    # in canonical order.  A walk is first passage exactly when it is
+    # positive before every step and its last step reaches 0, so a head
+    # that stays positive from start and ends where the prefix does,
+    # followed by a first-passage walk from there, is a first-passage walk
+    # from start: each head is checked, and each state's completions once,
+    # not each join.  If either half fails, the joins go through the
+    # validating constructor, which raises its own error at the first join
+    # that is not first passage.  The cyclic collector is paused for the
+    # search and left as it was found (see the module docstring).
     check_int(k, "k", 1)
     check_int(n, "n", 0)
     check_int(cap, "cap", 0)
@@ -194,57 +202,35 @@ def _first_passage_halves(
     mid = length // 2
     # Prefixes that end in the same state share its completions.
     completions: dict[tuple[int, int], tuple[list[tuple[Step, ...]], bool]] = {}
-    out = []
-    for prefix in _walks(k, n, mid):
-        r = prefix.count(_RIGHT)
-        end = k + 2 * r - mid
-        state = (end, n - r)
-        shared = completions.get(state)
-        if shared is None:
-            tails = _walks(*state, length - mid)
-            shared = completions[state] = (
-                tails, all(_walk_end(end, t) == 0 for t in tails)
-            )
-        out.append((prefix, end, *shared))
-    return out
-
-
-def _joins(
-    start: int,
-    prefix: tuple[Step, ...],
-    end: int,
-    tails: list[tuple[Step, ...]],
-    tails_ok: bool,
-) -> list[LatticePath]:
-    # prefix + tail as a LatticePath for each tail.  A walk is first passage
-    # from start exactly when it is positive before every step and its last
-    # step reaches 0, so a prefix that stays positive and ends at end,
-    # followed by a first-passage walk from end, is a first-passage walk
-    # from start: the halves are checked, not each join.  If either half
-    # fails, every join goes through the validating constructor, which
-    # raises its own error at the first join that is not first passage.
-    if tails_ok and _walk_end(start, prefix) == end:
-        paths = []
-        for tail in tails:
-            path = _new(LatticePath)
-            _set(path, "start", start)
-            _set(path, "steps", prefix + tail)
-            paths.append(path)
-        return paths
-    return [LatticePath(start, prefix + tail) for tail in tails]
-
-
-@contextmanager
-def _collector_paused():
-    # The cyclic collector off for the block, then back in the state it was
-    # found in, also when the block raises (see the module docstring).
+    out: dict[int, list[LatticePath]] = {}
     enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        for prefix in _walks(k, n, mid):
+            r = prefix.count(_RIGHT)
+            end = k + 2 * r - mid
+            state = (end, n - r)
+            shared = completions.get(state)
+            if shared is None:
+                tails = _walks(*state, length - mid)
+                shared = completions[state] = (
+                    tails, all(_walk_end(end, t) == 0 for t in tails)
+                )
+            tails, tails_ok = shared
+            start, head = split(prefix)
+            paths = out.setdefault(start, [])
+            if tails_ok and _walk_end(start, head) == end:
+                for tail in tails:
+                    path = _new(LatticePath)
+                    _set(path, "start", start)
+                    _set(path, "steps", head + tail)
+                    paths.append(path)
+            else:
+                paths += [LatticePath(start, head + tail) for tail in tails]
     finally:
         if enabled:
             gc.enable()
+    return out
 
 
 def enumerate_first_passage(
@@ -266,11 +252,7 @@ def enumerate_first_passage(
     The process-wide cyclic garbage collector is paused for the call and
     left as it was found.
     """
-    out: list[LatticePath] = []
-    with _collector_paused():
-        for prefix, end, tails, tails_ok in _first_passage_halves(k, n, cap):
-            out += _joins(k, prefix, end, tails, tails_ok)
-    return out
+    return _first_passage_paths(k, n, cap, lambda prefix: (k, prefix))[k]
 
 
 def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, LatticePath]:
@@ -353,15 +335,11 @@ def partition_by_first_step(
     """
     check_int(k, "k", 3)
     check_int(n, "n", 0)
-    to_k: list[LatticePath] = []
-    to_k_minus_2: list[LatticePath] = []
-    with _collector_paused():
-        for prefix, end, tails, tails_ok in _first_passage_halves(k - 1, n + 1, cap):
-            if prefix[0] is _RIGHT:
-                to_k += _joins(k, prefix[1:], end, tails, tails_ok)
-            elif prefix[0] is _LEFT:
-                to_k_minus_2 += _joins(k - 2, prefix[1:], end, tails, tails_ok)
-    return to_k, to_k_minus_2
+    found = _first_passage_paths(
+        k - 1, n + 1, cap,
+        lambda prefix: (k if prefix[0] is _RIGHT else k - 2, prefix[1:]),
+    )
+    return found[k], found[k - 2]
 
 
 def serialize_all(paths: Iterable[LatticePath]) -> list[str]:

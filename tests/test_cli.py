@@ -364,7 +364,7 @@ def test_verify_cap_applies_only_to_suites_with_a_length_bound(capsys):
 def test_verify_rejects_bounds_before_any_cell_runs(argv, error, monkeypatch, capsys):
     calls = []
     for module, name in ((paths, "enumerate_first_passage"),
-                         (paths, "_first_passage_halves"),
+                         (paths, "_first_passage_paths"),
                          (combinatorics, "ballot_via_recurrence")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)

@@ -245,12 +245,13 @@ def test_every_returned_path_is_a_valid_lattice_path(cell):
         assert p == LatticePath(p.start, p.steps)
 
 
-def _spoil(walks, start, how):
-    # Spoil the first walk that allows it.  "dips": the lefts of a walk with
-    # at least `start` lefts and one right moved to the front, so it reaches
-    # 0 with steps still to go.  "short": a walk ending in a left loses it,
-    # so it stays positive but ends one above where it should.
-    for i, walk in enumerate(walks):
+def _spoil(walks, start, how, last=False):
+    # Spoil the first walk that allows it, or the last one if `last`.
+    # "dips": the lefts of a walk with at least `start` lefts and one right
+    # moved to the front, so it reaches 0 with steps still to go.  "short":
+    # a walk ending in a left loses it, so it stays positive but ends one
+    # above where it should.
+    for i, walk in reversed(list(enumerate(walks))) if last else enumerate(walks):
         if how == "dips" and walk.count(L) >= start and R in walk:
             walks[i] = (L,) * walk.count(L) + (R,) * walk.count(R)
             return True
@@ -263,20 +264,23 @@ def _spoil(walks, start, how):
 def _spoil_walks(monkeypatch, half, how, calls):
     # The search lists the prefixes in its first _walks call and each
     # state's completions in later ones; spoil one walk of one of them.
-    # Each call's start is appended to calls.
+    # Prefixes come in canonical order, 'L' < 'R', so "last-prefix" spoils
+    # one that opens with 'R' in a partition, whose image starts at k; a
+    # "short" one keeps that first step.  Each call's start is appended to
+    # calls.
     real_walks = paths._walks
 
     def spoiled(start, rights, depth):
         walks = real_walks(start, rights, depth)
         calls.append(start)
-        if len(calls) == (1 if half == "prefix" else 2):
-            assert _spoil(walks, start, how)
+        if len(calls) == (2 if half == "completion" else 1):
+            assert _spoil(walks, start, how, last=half == "last-prefix")
         return walks
 
     monkeypatch.setattr(paths, "_walks", spoiled)
 
 
-@pytest.mark.parametrize("half", ["prefix", "completion"])
+@pytest.mark.parametrize("half", ["prefix", "completion", "last-prefix"])
 @pytest.mark.parametrize("how", ["dips", "short"])
 @pytest.mark.parametrize("build", [
     lambda: enumerate_first_passage(1, 4),

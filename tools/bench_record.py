@@ -23,7 +23,7 @@ one after the other.
 Each side also records dont_write_bytecode: whether PYTHONDONTWRITEBYTECODE
 is set in the environment the perfbench children inherit.  When it is, no
 .pyc is written or reused, so every fresh CLI request compiles all of
-src/ruinpaths again: about 1,470 lines, which compile() turns into code in
+src/ruinpaths again: about 1,740 lines, which compile() turns into code in
 10-14 ms on a 2-CPU host, over half of it for cli.py.  Start-up numbers
 from sides that differ on this setting cannot be compared.
 
