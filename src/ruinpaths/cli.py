@@ -102,8 +102,9 @@ def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
     try:
         if fmt == "json":
             # A Fraction is written as its "num/den" string, an infinite tail
-            # bound as "inf".
+            # bound as "inf"; only a row holding one is copied.
             payload: Any = [{k: "inf" if v == math.inf else v for k, v in row.items()}
+                            if math.inf in row.values() else row
                             for row in rows]
             if len(payload) == 1:
                 payload = payload[0]

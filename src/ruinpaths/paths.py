@@ -19,6 +19,13 @@ prefix is checked to stay positive and end where its state says, and each
 state's completions to be first passage from there, once per call, so every
 path it returns is a valid LatticePath without a second walk of its steps.
 
+Two builds skip the constructor's walk, each by setting the two slots of
+a bare instance.  The enumerator builds from halves it has checked, all of
+one start's paths in three passes that run in C.  The bijections build
+from LatticePath inputs, which are valid by construction, because each map
+sends a valid path to a valid one (the proof is a comment in each); they
+still make every check of their input's start and right steps.
+
 Step is a str enum: each member is a one-character str equal to its letter
 (Step.RIGHT == "R"), so a path serializes with one str.join.  A walk still
 accepts only Step members; a plain "R" or "L" is not one.  The enumerator
@@ -31,8 +38,10 @@ nothing but walks every step tuple built so far.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from ._validate import check_int
@@ -68,8 +77,8 @@ _RIGHT, _LEFT = Step.RIGHT, Step.LEFT
 _STEP_TYPE = frozenset({Step})
 # Enum lookup by value, Step(c), runs Python code; a dict read runs in C.
 _STEP_OF_LETTER = {s.value: s for s in Step}
-# A frozen dataclass's own __setattr__ raises; fields are set through these.
-_new, _set = object.__new__, object.__setattr__
+# Runs an iterator to its end in C, keeping nothing.
+_consume = deque(maxlen=0).extend
 
 
 def _walk_end(start: int, steps: tuple[Step, ...]) -> int | None:
@@ -99,8 +108,10 @@ class LatticePath:
     """An absorbed trajectory: start position plus its step sequence.
 
     Validated on construction, so every LatticePath in existence satisfies
-    the first-passage invariants; the enumerator builds its paths from
-    halves it has validated instead (see _first_passage_paths).  Step
+    the first-passage invariants.  Two trusted builds set the slots of a
+    bare instance instead: the enumerator's, from halves it has validated
+    (see _first_passage_paths), and _trusted_path's in the bijections, from
+    LatticePath inputs that each map sends to valid paths.  Step
     counts are derived, never stored: right_steps() gives n, and
     len(steps) == 2n + start.  steps holds Step members only, each a str
     equal to its letter.  The class has slots and no __dict__, so a path is
@@ -120,14 +131,29 @@ class LatticePath:
                 f"not a first-passage sequence from {start}: "
                 f"{''.join(steps)!r}"
             )
-        _set(self, "start", start)
-        _set(self, "steps", steps)
+        _set_start(self, start)
+        _set_steps(self, steps)
 
     def right_steps(self) -> int:
         return self.steps.count(_RIGHT)
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+# A frozen dataclass's own __setattr__ raises; its fields are set through
+# their slot descriptors, on instances made by _new.
+_new = object.__new__
+_set_start, _set_steps = LatticePath.start.__set__, LatticePath.steps.__set__
+
+
+def _trusted_path(start: int, steps: tuple[Step, ...]) -> LatticePath:
+    # A LatticePath built without the constructor's walk: only for a
+    # (start, steps) that is first passage by construction.
+    path = _new(LatticePath)
+    _set_start(path, start)
+    _set_steps(path, steps)
+    return path
 
 
 def path_to_string(path: LatticePath) -> str:
@@ -189,8 +215,11 @@ def _first_passage_paths(
     # from start: each head is checked, and each state's completions once,
     # not each join.  If either half fails, the joins go through the
     # validating constructor, which raises its own error at the first join
-    # that is not first passage.  The cyclic collector is paused for the
-    # search and left as it was found (see the module docstring).
+    # that is not first passage.  Each start's joined steps are gathered
+    # first; then its paths are made, and their two slots set, in one pass
+    # each over all of them, so no path costs a Python-level call.  The
+    # cyclic collector is paused for the search and left as it was found
+    # (see the module docstring).
     check_int(k, "k", 1)
     check_int(n, "n", 0)
     check_int(cap, "cap", 0)
@@ -202,6 +231,7 @@ def _first_passage_paths(
     mid = length // 2
     # Prefixes that end in the same state share its completions.
     completions: dict[tuple[int, int], tuple[list[tuple[Step, ...]], bool]] = {}
+    joined: dict[int, list[tuple[Step, ...]]] = {}
     out: dict[int, list[LatticePath]] = {}
     enabled = gc.isenabled()
     gc.disable()
@@ -218,15 +248,16 @@ def _first_passage_paths(
                 )
             tails, tails_ok = shared
             start, head = split(prefix)
-            paths = out.setdefault(start, [])
+            steps = joined.setdefault(start, [])
             if tails_ok and _walk_end(start, head) == end:
-                for tail in tails:
-                    path = _new(LatticePath)
-                    _set(path, "start", start)
-                    _set(path, "steps", head + tail)
-                    paths.append(path)
+                steps += map(head.__add__, tails)
             else:
-                paths += [LatticePath(start, head + tail) for tail in tails]
+                steps += (LatticePath(start, head + tail).steps for tail in tails)
+        for start, steps in joined.items():
+            m = len(steps)
+            paths = out[start] = list(map(_new, repeat(LatticePath, m)))
+            _consume(map(_set_start, paths, repeat(start, m)))
+            _consume(map(_set_steps, paths, steps))
     finally:
         if enabled:
             gc.enable()
@@ -263,6 +294,9 @@ def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, Lattice
     first return to 1, shifted down one level, is `left`; the remainder is
     `right`.  Returns (alpha, left, right) with alpha - 1 right steps in
     `left` and n - alpha in `right`; first_return_compose inverts exactly.
+
+    Relies on path being a LatticePath, valid by construction: the two
+    parts are built without a second walk of their steps.
     """
     if path.start != 1:
         raise ValueError(f"decomposition requires start = 1, got {path.start}")
@@ -277,8 +311,8 @@ def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, Lattice
             break
     # Steps 1..first_return run strictly above level 1, so shifting them
     # down one level gives a valid start-1 path; the suffix already is one.
-    left = LatticePath(1, path.steps[1 : first_return + 1])
-    right_part = LatticePath(1, path.steps[first_return + 1 :])
+    left = _trusted_path(1, path.steps[1 : first_return + 1])
+    right_part = _trusted_path(1, path.steps[first_return + 1 :])
     return left.right_steps() + 1, left, right_part
 
 
@@ -286,7 +320,11 @@ def first_return_compose(
     alpha: int, left: LatticePath, right: LatticePath
 ) -> LatticePath:
     """Inverse of first_return_decompose: one right step, then left raised a
-    level, then right."""
+    level, then right.
+
+    Relies on left and right being LatticePaths, valid by construction:
+    the image is built without a walk of its steps.
+    """
     if left.start != 1 or right.start != 1:
         raise ValueError("both components must start at 1")
     if alpha != left.right_steps() + 1:
@@ -294,7 +332,9 @@ def first_return_compose(
             f"alpha {alpha} inconsistent with left component "
             f"({left.right_steps()} right steps)"
         )
-    return LatticePath(1, (_RIGHT,) + left.steps + right.steps)
+    # From 1 the right step reaches 2; left, raised a level, stays above 1
+    # until its last step reaches 1; right then runs from 1 to 0.
+    return _trusted_path(1, (_RIGHT,) + left.steps + right.steps)
 
 
 def shift_bijection_k2(path: LatticePath) -> LatticePath:
@@ -304,12 +344,17 @@ def shift_bijection_k2(path: LatticePath) -> LatticePath:
     right step and resets the start to 1.  Stripping a common first step
     preserves canonical order: the image of enumerate_first_passage(1, n + 1)
     is enumerate_first_passage(2, n), order included.
+
+    Relies on path being a LatticePath, valid by construction: the image is
+    built without a second walk of its steps.
     """
     if path.start != 1:
         raise ValueError(f"shift bijection requires start = 1, got {path.start}")
     if path.right_steps() == 0:
         raise ValueError("shift bijection requires at least one right step")
-    return LatticePath(2, path.steps[1:])
+    # From 1 the first step is right, to 2, and the rest of the walk is
+    # a first-passage walk from there.
+    return _trusted_path(2, path.steps[1:])
 
 
 def partition_by_first_step(
@@ -344,4 +389,7 @@ def partition_by_first_step(
 
 def serialize_all(paths: Iterable[LatticePath]) -> list[str]:
     """Canonical serializations of a path collection, order preserved."""
-    return [path_to_string(p) for p in paths]
+    # path_to_string's text, formatted inline: a call per path would cost
+    # more than the formatting.
+    join = "".join
+    return [f"{p.start}:{join(p.steps)}" for p in paths]

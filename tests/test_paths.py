@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import pickle
 from itertools import combinations
 from types import SimpleNamespace
@@ -324,6 +325,25 @@ def test_the_collector_state_is_restored(enabled, build, spoiled, error, monkeyp
         (gc.enable if was_enabled else gc.disable)()
 
 
+def test_oracle_output_is_pinned():
+    # Every serialized path, one per line, of each enumeration with
+    # 2n + k <= 22 and, after it, of both partition lists whose source
+    # has 2n + k + 1 <= 22.  A change to how the oracle builds or
+    # serializes its paths must leave this digest as it is.
+    digest = hashlib.sha256()
+    for k in range(1, 13):
+        for n in range((22 - k) // 2 + 1):
+            lists = [enumerate_first_passage(k, n)]
+            if k >= 3 and 2 * n + k + 1 <= 22:
+                lists += partition_by_first_step(k, n)
+            for found in lists:
+                for text in serialize_all(found):
+                    digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0740740f545a4c6f39ef2cd10ff04457f681b0576c08b0d33346d01f0729e436"
+    )
+
+
 def test_enumerate_is_canonically_ordered_and_duplicate_free():
     for k, n in [(1, 5), (2, 4), (4, 3)]:
         serialized = serialize_all(enumerate_first_passage(k, n))
@@ -382,12 +402,14 @@ def test_decompose_rejects_bad_paths():
 
 
 def test_decompose_compose_round_trip():
-    for n in range(1, 7):
+    # The parts are built without a walk of their steps; walk them here.
+    for n in range(1, 9):
         for p in enumerate_first_passage(1, n):
             alpha, left, right = first_return_decompose(p)
             assert 1 <= alpha <= n
             assert left.right_steps() == alpha - 1
             assert right.right_steps() == n - alpha
+            assert is_first_passage(1, left.steps) and is_first_passage(1, right.steps)
             assert first_return_compose(alpha, left, right) == p
 
 
@@ -435,6 +457,8 @@ def test_shift_is_a_bijection_onto_start_two():
         assert set(serialize_all(image)) == set(serialize_all(target))
         assert len(set(serialize_all(image))) == len(source)
         for original, shifted in zip(source, image):
+            # The image is built without a walk of its steps; walk it here.
+            assert is_first_passage(2, shifted.steps)
             assert LatticePath(1, (R,) + shifted.steps) == original
 
 

@@ -37,7 +37,14 @@ sides alike.  Under pairs of --out, keyed by the workload (with ".traced"
 for --trace 1), it stores every run with its pair, side and host_loop_ms,
 and per side and metric the median and quartiles; change_wins counts the
 pairs in which the change is better on a metric, in the direction
-BENCHMARK.json gives it.
+BENCHMARK.json gives it.  Each metric's outcome is stated too:
+
+    gain_met      the change won at least 9 of every 10 pairs, and its
+                  median is better than the parent's by more than the
+                  parent's interquartile range
+    within_bound  the change's median is worse than the parent's by no more
+                  than the metric's BENCHMARK.json bound, a fraction of the
+                  parent's median; only metrics with a bound have one
 """
 
 from __future__ import annotations
@@ -110,17 +117,32 @@ def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: in
         for name, metric in run["result"]["metrics"].items():
             values[run["side"]].setdefault(name, []).append(metric["value"])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    wins = {name: sum(c > p if better[name] == "higher" else c < p
-                      for p, c in zip(values["parent"][name], values["change"][name]))
-            for name in values["change"] if name in better}
+    specs = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    summary = {side: {name: spread(v) for name, v in metrics.items()}
+               for side, metrics in values.items()}
+    wins, gain_met, within_bound = {}, {}, {}
+    for name in values["change"]:
+        if name not in specs:
+            continue
+        # Signed so that a positive gain is better: change minus parent if
+        # higher is better, parent minus change if lower is.
+        sign = 1 if specs[name]["better"] == "higher" else -1
+        wins[name] = sum(sign * (c - p) > 0
+                         for p, c in zip(values["parent"][name], values["change"][name]))
+        parent, change = summary["parent"][name], summary["change"][name]
+        gain = sign * (change["median"] - parent["median"])
+        gain_met[name] = (10 * wins[name] >= 9 * pairs
+                          and gain > parent["q3"] - parent["q1"])
+        if "bound" in specs[name]:
+            within_bound[name] = -gain <= specs[name]["bound"] * abs(parent["median"])
     return {
         "workload": workload,
         "trace": trace,
         "runs": runs,
-        "summary": {side: {name: spread(v) for name, v in metrics.items()}
-                    for side, metrics in values.items()},
+        "summary": summary,
         "change_wins": wins,
+        "gain_met": gain_met,
+        "within_bound": within_bound,
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
