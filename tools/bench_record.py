@@ -39,9 +39,9 @@ and per side and metric the median and quartiles; change_wins counts the
 pairs in which the change is better on a metric, in the direction
 BENCHMARK.json gives it.  Each metric's outcome is stated too:
 
-    gain_met      the change won at least 9 of every 10 pairs, and its
-                  median is better than the parent's by more than the
-                  parent's interquartile range
+    gain_met      over at least 10 pairs, the change won at least 9 of
+                  every 10, and its median is better than the parent's by
+                  more than the parent's interquartile range
     within_bound  the change's median is worse than the parent's by no more
                   than the metric's BENCHMARK.json bound, a fraction of the
                   parent's median; only metrics with a bound have one
@@ -103,16 +103,11 @@ def spread(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
-                 trace: int) -> dict:
-    trees = {"parent": parent, "change": change}
-    runs = []
-    for pair in range(pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            run = perfbench(trees[side], workload, seed + pair, trace)
-            runs.append({"pair": pair, "side": side, **run})
-    values = {side: {} for side in trees}
+def compare(runs: list[dict]) -> dict:
+    """Per side and metric the median and quartiles of paired runs, and per
+    metric the change's wins and its gain_met and within_bound outcomes."""
+    pairs = len({run["pair"] for run in runs})
+    values = {"parent": {}, "change": {}}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
             values[run["side"]].setdefault(name, []).append(metric["value"])
@@ -131,18 +126,28 @@ def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: in
                          for p, c in zip(values["parent"][name], values["change"][name]))
         parent, change = summary["parent"][name], summary["change"][name]
         gain = sign * (change["median"] - parent["median"])
-        gain_met[name] = (10 * wins[name] >= 9 * pairs
+        gain_met[name] = (pairs >= 10 and 10 * wins[name] >= 9 * pairs
                           and gain > parent["q3"] - parent["q1"])
         if "bound" in specs[name]:
             within_bound[name] = -gain <= specs[name]["bound"] * abs(parent["median"])
+    return {"summary": summary, "change_wins": wins, "gain_met": gain_met,
+            "within_bound": within_bound}
+
+
+def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
+                 trace: int) -> dict:
+    trees = {"parent": parent, "change": change}
+    runs = []
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = perfbench(trees[side], workload, seed + pair, trace)
+            runs.append({"pair": pair, "side": side, **run})
     return {
         "workload": workload,
         "trace": trace,
         "runs": runs,
-        "summary": summary,
-        "change_wins": wins,
-        "gain_met": gain_met,
-        "within_bound": within_bound,
+        **compare(runs),
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
