@@ -208,7 +208,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     found = paths.enumerate_first_passage(args.k, args.n, cap=args.cap)
-    rows = [{"path": paths.path_to_string(p)} for p in found]
+    rows = [{"path": text} for text in paths.serialize_all(found)]
     emit(rows, args.format)
     return EXIT_OK
 

@@ -21,10 +21,13 @@ path it returns is a valid LatticePath without a second walk of its steps.
 
 Two builds skip the constructor's walk, each by setting the two slots of
 a bare instance.  The enumerator builds from halves it has checked, all of
-one start's paths in three passes that run in C.  The bijections build
-from LatticePath inputs, which are valid by construction, because each map
-sends a valid path to a valid one (the proof is a comment in each); they
-still make every check of their input's start and right steps.
+one start's paths in three passes that run in C.  first_return_compose and
+shift_bijection_k2 build from LatticePath inputs, which are valid by
+construction, because each map sends a valid path to a valid one (the
+proof is a comment in each); they still make every check of their input's
+start and right steps, and take nothing that is not a LatticePath.
+first_return_decompose still walks its two parts: no caller has anything
+to check them against.
 
 Step is a str enum: each member is a one-character str equal to its letter
 (Step.RIGHT == "R"), so a path serializes with one str.join.  A walk still
@@ -110,8 +113,9 @@ class LatticePath:
     Validated on construction, so every LatticePath in existence satisfies
     the first-passage invariants.  Two trusted builds set the slots of a
     bare instance instead: the enumerator's, from halves it has validated
-    (see _first_passage_paths), and _trusted_path's in the bijections, from
-    LatticePath inputs that each map sends to valid paths.  Step
+    (see _first_passage_paths), and first_return_compose's and
+    shift_bijection_k2's, from LatticePath inputs that each map sends to
+    valid paths.  Step
     counts are derived, never stored: right_steps() gives n, and
     len(steps) == 2n + start.  steps holds Step members only, each a str
     equal to its letter.  The class has slots and no __dict__, so a path is
@@ -147,18 +151,40 @@ _new = object.__new__
 _set_start, _set_steps = LatticePath.start.__set__, LatticePath.steps.__set__
 
 
+# The two trusted builds: LatticePaths made without the constructor's walk,
+# only for a (start, steps) that is first passage by construction.  The
+# bijections build one path at a time; the enumerator builds all of one
+# start's paths in three passes run in C, so no path costs a Python-level
+# call.  Each is the faster at its own size: the three passes cost about
+# 0.8 us more than _trusted_path for a single path, and a _trusted_path
+# call per path makes the enumerator's builds about a fifth slower.
+
+
 def _trusted_path(start: int, steps: tuple[Step, ...]) -> LatticePath:
-    # A LatticePath built without the constructor's walk: only for a
-    # (start, steps) that is first passage by construction.
     path = _new(LatticePath)
     _set_start(path, start)
     _set_steps(path, steps)
     return path
 
 
+def _trusted_paths(start: int, steps: list[tuple[Step, ...]]) -> list[LatticePath]:
+    m = len(steps)
+    paths = list(map(_new, repeat(LatticePath, m)))
+    _consume(map(_set_start, paths, repeat(start, m)))
+    _consume(map(_set_steps, paths, steps))
+    return paths
+
+
+def _check_path(value: object, name: str) -> None:
+    # A bijection that builds its image with _trusted_path takes only
+    # LatticePaths, the inputs valid by construction.
+    if not isinstance(value, LatticePath):
+        raise TypeError(f"{name} must be a LatticePath, got {type(value).__name__}")
+
+
 def path_to_string(path: LatticePath) -> str:
     """Canonical serialization: start, colon, one R/L character per step."""
-    return f"{path.start}:" + "".join(path.steps)
+    return serialize_all((path,))[0]
 
 
 def path_from_string(text: str) -> LatticePath:
@@ -216,9 +242,8 @@ def _first_passage_paths(
     # not each join.  If either half fails, the joins go through the
     # validating constructor, which raises its own error at the first join
     # that is not first passage.  Each start's joined steps are gathered
-    # first; then its paths are made, and their two slots set, in one pass
-    # each over all of them, so no path costs a Python-level call.  The
-    # cyclic collector is paused for the search and left as it was found
+    # first, then built into paths by _trusted_paths at once.  The cyclic
+    # collector is paused for the search and left as it was found
     # (see the module docstring).
     check_int(k, "k", 1)
     check_int(n, "n", 0)
@@ -232,7 +257,6 @@ def _first_passage_paths(
     # Prefixes that end in the same state share its completions.
     completions: dict[tuple[int, int], tuple[list[tuple[Step, ...]], bool]] = {}
     joined: dict[int, list[tuple[Step, ...]]] = {}
-    out: dict[int, list[LatticePath]] = {}
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -253,11 +277,7 @@ def _first_passage_paths(
                 steps += map(head.__add__, tails)
             else:
                 steps += (LatticePath(start, head + tail).steps for tail in tails)
-        for start, steps in joined.items():
-            m = len(steps)
-            paths = out[start] = list(map(_new, repeat(LatticePath, m)))
-            _consume(map(_set_start, paths, repeat(start, m)))
-            _consume(map(_set_steps, paths, steps))
+        out = {start: _trusted_paths(start, steps) for start, steps in joined.items()}
     finally:
         if enabled:
             gc.enable()
@@ -294,9 +314,6 @@ def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, Lattice
     first return to 1, shifted down one level, is `left`; the remainder is
     `right`.  Returns (alpha, left, right) with alpha - 1 right steps in
     `left` and n - alpha in `right`; first_return_compose inverts exactly.
-
-    Relies on path being a LatticePath, valid by construction: the two
-    parts are built without a second walk of their steps.
     """
     if path.start != 1:
         raise ValueError(f"decomposition requires start = 1, got {path.start}")
@@ -311,8 +328,10 @@ def first_return_decompose(path: LatticePath) -> tuple[int, LatticePath, Lattice
             break
     # Steps 1..first_return run strictly above level 1, so shifting them
     # down one level gives a valid start-1 path; the suffix already is one.
-    left = _trusted_path(1, path.steps[1 : first_return + 1])
-    right_part = _trusted_path(1, path.steps[first_return + 1 :])
+    # Both are still built through the walk: no caller checks the parts
+    # against anything, so the walk is what catches a wrong split.
+    left = LatticePath(1, path.steps[1 : first_return + 1])
+    right_part = LatticePath(1, path.steps[first_return + 1 :])
     return left.right_steps() + 1, left, right_part
 
 
@@ -322,9 +341,12 @@ def first_return_compose(
     """Inverse of first_return_decompose: one right step, then left raised a
     level, then right.
 
-    Relies on left and right being LatticePaths, valid by construction:
-    the image is built without a walk of its steps.
+    Relies on left and right being LatticePaths, valid by construction,
+    and raises TypeError for anything else: the image is built without a
+    walk of its steps.
     """
+    _check_path(left, "left")
+    _check_path(right, "right")
     if left.start != 1 or right.start != 1:
         raise ValueError("both components must start at 1")
     if alpha != left.right_steps() + 1:
@@ -345,9 +367,11 @@ def shift_bijection_k2(path: LatticePath) -> LatticePath:
     preserves canonical order: the image of enumerate_first_passage(1, n + 1)
     is enumerate_first_passage(2, n), order included.
 
-    Relies on path being a LatticePath, valid by construction: the image is
-    built without a second walk of its steps.
+    Relies on path being a LatticePath, valid by construction, and raises
+    TypeError for anything else: the image is built without a second walk
+    of its steps.
     """
+    _check_path(path, "path")
     if path.start != 1:
         raise ValueError(f"shift bijection requires start = 1, got {path.start}")
     if path.right_steps() == 0:
@@ -389,7 +413,8 @@ def partition_by_first_step(
 
 def serialize_all(paths: Iterable[LatticePath]) -> list[str]:
     """Canonical serializations of a path collection, order preserved."""
-    # path_to_string's text, formatted inline: a call per path would cost
-    # more than the formatting.
+    # The one place the canonical text is written: path_to_string goes
+    # through here, and path_from_string inverts it.  It is formatted
+    # inline, since a call per path would cost more than the formatting.
     join = "".join
     return [f"{p.start}:{join(p.steps)}" for p in paths]

@@ -402,7 +402,7 @@ def test_decompose_rejects_bad_paths():
 
 
 def test_decompose_compose_round_trip():
-    # The parts are built without a walk of their steps; walk them here.
+    # The parts are walked here too, apart from the constructor.
     for n in range(1, 9):
         for p in enumerate_first_passage(1, n):
             alpha, left, right = first_return_decompose(p)
@@ -433,6 +433,12 @@ def test_compose_validates_components():
         first_return_compose(2, left, right)  # alpha inconsistent with left
     with pytest.raises(ValueError):
         first_return_compose(1, path_from_string("2:LL"), right)
+    # The image is built without a walk, so a stand-in is refused.
+    fake = SimpleNamespace(start=1, steps=("L",), right_steps=lambda: 0)
+    with pytest.raises(TypeError, match="left must be a LatticePath"):
+        first_return_compose(1, fake, right)
+    with pytest.raises(TypeError, match="right must be a LatticePath"):
+        first_return_compose(1, left, fake)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,9 @@ def test_shift_rejects_bad_input():
         shift_bijection_k2(path_from_string("1:L"))  # no right step to strip
     with pytest.raises(ValueError):
         shift_bijection_k2(path_from_string("2:LL"))
+    fake = SimpleNamespace(start=1, steps=("R", "L", "L"), right_steps=lambda: 1)
+    with pytest.raises(TypeError, match="path must be a LatticePath"):
+        shift_bijection_k2(fake)
 
 
 def test_shift_is_a_bijection_onto_start_two():
