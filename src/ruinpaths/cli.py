@@ -101,14 +101,9 @@ def emit(rows: Sequence[dict[str, Any]], fmt: str, stream: Any = None) -> None:
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            # A Fraction is written as its "num/den" string, an infinite tail
-            # bound as "inf"; only a row holding one is copied.
-            payload: Any = [{k: "inf" if v == math.inf else v for k, v in row.items()}
-                            if math.inf in row.values() else row
-                            for row in rows]
-            if len(payload) == 1:
-                payload = payload[0]
-            stream.write(json.dumps(payload, allow_nan=False, default=str) + "\n")
+            # A Fraction is written as its "num/den" string.
+            stream.write(json.dumps(rows[0] if len(rows) == 1 else rows,
+                                    allow_nan=False, default=str) + "\n")
         elif fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
@@ -170,7 +165,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
         )
         row["value"] = result.partial_sum
         row["terms_used"] = result.terms_used
-        row["tail_bound"] = result.tail_bound
+        # JSON has no infinity, so an unbounded tail is the text every format prints.
+        row["tail_bound"] = result.tail_bound if result.converged else "inf"
         row["converged"] = result.converged
         if not result.converged:
             code = EXIT_NOT_CONVERGED

@@ -12,6 +12,9 @@ from math import comb
 
 from ._validate import check_int
 
+__all__ = ["BallotCount", "ballot_count", "ballot_via_recurrence", "catalan",
+           "catalan_via_convolution"]
+
 # Arbitrary-precision nonnegative count.  Plain int already gives exactness
 # at any magnitude, so no wrapper type is needed.
 BallotCount = int

@@ -49,6 +49,11 @@ from typing import Callable, Iterable, Sequence
 
 from ._validate import check_int
 
+__all__ = ["DEFAULT_ENUMERATION_CAP", "EnumerationCapError", "LatticePath", "Step",
+           "enumerate_first_passage", "first_return_compose", "first_return_decompose",
+           "is_first_passage", "partition_by_first_step", "path_from_string",
+           "path_to_string", "serialize_all", "shift_bijection_k2"]
+
 DEFAULT_ENUMERATION_CAP = 26
 
 

@@ -22,6 +22,10 @@ from typing import Iterator, Union
 
 from ._validate import check_float_k, check_int, check_probability
 
+__all__ = ["DEFAULT_MAX_TERMS", "SeriesEvaluation", "StepProbability", "absorption_exact",
+           "absorption_series", "absorption_via_gf", "generating_function", "tail_start",
+           "verify_three_term"]
+
 StepProbability = Union[Fraction, float]
 
 DEFAULT_MAX_TERMS = 100_000

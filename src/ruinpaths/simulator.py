@@ -63,6 +63,9 @@ from .probability import StepProbability
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = ["Absorbed", "AbsorptionEstimate", "Censored", "WalkConfig", "estimate_absorption",
+           "run_walk"]
+
 _CHUNK = 128
 _BLOCK_THRESHOLD = 64
 _Z95 = 1.959963984540054

@@ -8,6 +8,14 @@ import ruinpaths
 
 
 def test_all_lists_exactly_the_public_names():
+    modules = (ruinpaths.combinatorics, ruinpaths.paths, ruinpaths.probability,
+               ruinpaths.simulator)
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    declared = [name for module in modules for name in module.__all__]
+    assert ruinpaths.__all__ == declared + ["__version__"]
     for name in ruinpaths.__all__:
         assert hasattr(ruinpaths, name), name
     public = {

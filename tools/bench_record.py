@@ -1,43 +1,23 @@
-"""Record one side of a BENCH_<pr>.json file from perfbench runs, or
-alternating pairs of a parent and a change.
+"""Record alternating perfbench runs of a parent and a change in a BENCH file.
 
-    python3 tools/bench_record.py --out BENCH_11.json --side change
-    python3 tools/bench_record.py --out BENCH_11.json --side parent --tree ../parent
     python3 tools/bench_record.py --out BENCH_18.json --pairs 10 --parent-tree ../parent \
         --workload series [--trace 1]
 
-In the checkout --tree (default: the one this file sits in) it runs
+One workload runs N times in each of --parent-tree and --tree (default: the
+checkout this file sits in), pair i at seed --seed + i, as
 
-    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace T
 
-for each of the four workloads, then one `--trace 1` run of each.  Under
---side of --out it stores each run's result line (the last line of its
-stdout) with the machine and host_loop_ms of its record, and, by workload,
-every per-layer metric of the traced result lines.  A traced run reports
-the metrics its own requests never reach from a probe of the other
-workloads, and 0.0 for those no probe reaches either; those are listed
-under "unmeasured" in its run.  Other sides already in --out are kept, so
-that the parent and the change of one commit can be recorded into one file,
-one after the other.
-
-Each side also records dont_write_bytecode: whether PYTHONDONTWRITEBYTECODE
-is set in the environment the perfbench children inherit.  When it is, no
-.pyc is written or reused, so every fresh CLI request compiles all of
-src/ruinpaths again: about 1,740 lines, which compile() turns into code in
-10-14 ms on a 2-CPU host, over half of it for cli.py.  Start-up numbers
-from sides that differ on this setting cannot be compared.
-
-The record's machine names the checkout's HEAD commit and hashes its src/
-tree, so uncommitted sources show in source_sha256 only.
-
-With --pairs N, one workload runs N times in each of --parent-tree and
---tree, pair i at seed --seed + i, the parent first in even pairs and the
-change first in odd ones, so that host drift over the session falls on both
-sides alike.  Under pairs of --out, keyed by the workload (with ".traced"
-for --trace 1), it stores every run with its pair, side and host_loop_ms,
-and per side and metric the median and quartiles; change_wins counts the
-pairs in which the change is better on a metric, in the direction
-BENCHMARK.json gives it.  Each metric's outcome is stated too:
+the parent first in even pairs and the change first in odd ones, so that
+host drift over the runs falls on both sides alike.  Under pairs of
+--out, keyed by the workload (with ".traced" for --trace 1), it stores every
+run's result line (the last line of its stdout) with its pair, side, and the
+machine and host_loop_ms of its record.  A traced run reports the metrics
+its own requests never reach from a probe of the other workloads, and 0.0
+for those no probe reaches either; those are listed under "unmeasured" in
+its run.  Per side and metric it stores the median and quartiles;
+change_wins counts the pairs in which the change is better on a metric, in
+the direction BENCHMARK.json gives it.  Each metric's outcome is stated too:
 
     gain_met      over at least 10 pairs, the change won at least 9 of
                   every 10, and its median is better than the parent's by
@@ -45,6 +25,18 @@ BENCHMARK.json gives it.  Each metric's outcome is stated too:
     within_bound  the change's median is worse than the parent's by no more
                   than the metric's BENCHMARK.json bound, a fraction of the
                   parent's median; only metrics with a bound have one
+
+Other keys already in --out are kept.  A run's machine names its
+checkout's HEAD commit and hashes its src/ tree, so uncommitted sources show
+in source_sha256 only.
+
+Each record also stores dont_write_bytecode: whether PYTHONDONTWRITEBYTECODE
+is set in the environment the perfbench children inherit.  When it is, no
+.pyc is written, so in a checkout without one every fresh CLI request
+compiles all of src/ruinpaths again: about 1,750 lines, which compile()
+turns into code in 10-14 ms on a 2-CPU host, over half of it for cli.py.
+Start-up numbers from records that differ on this setting cannot be
+compared.
 """
 
 from __future__ import annotations
@@ -83,17 +75,6 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     if trace:
         run["unmeasured"] = record["unmeasured"]
     return run
-
-
-def record_side(tree: Path, seed: int) -> dict:
-    runs = [perfbench(tree, workload, seed, trace)
-            for trace in (0, 1) for workload in WORKLOADS]
-    layers = {run["workload"]: {name: metric["value"]
-                                for name, metric in run["result"]["metrics"].items()}
-              for run in runs if run["trace"]}
-    # Python reads any non-empty value as set.
-    dont_write_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
-    return {"runs": runs, "layers": layers, "dont_write_bytecode": dont_write_bytecode}
 
 
 def spread(values: list[float]) -> dict:
@@ -155,28 +136,21 @@ def record_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: in
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<pr>.json to update")
-    parser.add_argument("--side", help='key to record under, e.g. "parent"')
-    parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to benchmark")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, help="alternating parent/change pairs to run")
-    parser.add_argument("--parent-tree", type=Path, help="the parent checkout, with --pairs")
-    parser.add_argument("--workload", choices=WORKLOADS, help="the workload, with --pairs")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                        help="perfbench --trace, with --pairs")
+    parser.add_argument("--tree", type=Path, default=ROOT, help="the change's checkout")
+    parser.add_argument("--parent-tree", type=Path, required=True, help="the parent's checkout")
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--pairs", type=int, required=True,
+                        help="alternating parent/change pairs to run")
+    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="perfbench --trace")
     args = parser.parse_args(argv)
-    if args.pairs is None and args.side is None:
-        parser.error("give --side, or --pairs with --parent-tree and --workload")
-    if args.pairs is not None and (args.side is not None or args.parent_tree is None
-                                   or args.workload is None or args.pairs < 1):
-        parser.error("--pairs N (N >= 1) takes --parent-tree and --workload, not --side")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.pairs is None:
-        bench[args.side] = record_side(args.tree.resolve(), args.seed)
-    else:
-        key = args.workload + (".traced" if args.trace else "")
-        bench.setdefault("pairs", {})[key] = record_pairs(
-            args.parent_tree.resolve(), args.tree.resolve(), args.workload, args.pairs,
-            args.seed, args.trace)
+    key = args.workload + (".traced" if args.trace else "")
+    bench.setdefault("pairs", {})[key] = record_pairs(
+        args.parent_tree.resolve(), args.tree.resolve(), args.workload, args.pairs,
+        args.seed, args.trace)
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
