@@ -515,6 +515,32 @@ def test_exact_series_outputs_are_pinned(k, terms, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def exact_text(x):
+    return f"{x.numerator:x}/{x.denominator:x}" if isinstance(x, Fraction) else repr(x)
+
+
+# Long exact runs as the one-term-per-division kernel computed them: terms
+# used, and a SHA-256 over "terms,converged,partial_sum,tail_bound" with each
+# Fraction as hex numerator/denominator.  Two near-critical cells that
+# certify, and p = 1/2, which never does and ends at its budget.
+PINNED_LONG_SERIES = [
+    (7, Fraction(13, 29), {}, 2054,
+     "7869b74d42fe73faa0378144c3bf2c855e9b96b372813298e930dcdc0fdfa5a6"),
+    (1, Fraction(12, 25), {}, 11733,
+     "cb9fba4982ffdf9456b5756c6b7c9d9279e08fcb67de3f9cc9f96deaa539f89c"),
+    (2, Fraction(1, 2), {"max_terms": 2000}, 2000,
+     "5d8aa104591fd86dbce98d8202dc608ac971db27b5afb2a9b976fc2af6d02ba5"),
+]
+
+
+@pytest.mark.parametrize("k, p, budget, terms, digest", PINNED_LONG_SERIES)
+def test_long_exact_series_outputs_are_pinned(k, p, budget, terms, digest):
+    r = absorption_series(k, p, Fraction(1, 10**12), **budget)
+    assert r.terms_used == terms
+    text = f"{r.terms_used},{r.converged},{exact_text(r.partial_sum)},{exact_text(r.tail_bound)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # three-term recurrence
 
