@@ -121,21 +121,45 @@ class SeriesEvaluation:
     converged: bool
 
 
-def _exact_terms(k: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
-    """The series for p = a/b in integers: yields (num_n, S_n, b^(2n+k)), the
-    term t_n = num_n / b^(2n+k), num_n = C_k(n) a^n (b-a)^(n+k), and the partial
-    sum t_0 + ... + t_n = S_n / b^(2n+k), S_n = S_{n-1} b^2 + num_n.
+# Terms per multi-digit division in absorption_series.
+_BATCH = 16
 
-    num_n a(b-a) (2n+k)(2n+k+1) is num_{n+1} (n+1)(n+k+1), so each step is
-    an exact integer division.
+
+def _advance(k: int, a: int, b: int, n: int, m: int, num: int, total: int,
+             scale: int) -> tuple[int, int, int]:
+    """The series for p = a/b in integers, taken m terms on: from term n's
+    (num_n, S_n, b^(2n+k)) to term n+m's, where t_n = num_n / b^(2n+k),
+    num_n = C_k(n) a^n (b-a)^(n+k), and the partial sum t_0 + ... + t_n is
+    S_n / b^(2n+k), S_n = S_{n-1} b^2 + num_n.
+
+    Each step is num_{j+1} = num_j f_j / g_j, f_j = a(b-a)(2j+k)(2j+k+1),
+    g_j = (j+1)(j+k+1).  Over j = n .. n+m-1 the small factors compound into
+    F = prod f_j, G = prod g_j and P, built by P <- P b^2 g_j + F_j (F_j the
+    product of f_n .. f_j), so that num_{n+m} = num_n F / G and
+    S_{n+m} = S_n b^(2m) + num_n P / G.  One divmod, num_n = q G + r, splits
+    them into q F + r F / G and q P + r P / G.  Both divisions are exact and
+    act on small numbers only: num_{n+m} and num_n P / G, the sum of
+    num_{n+i} b^(2(m-i)) over i = 1 .. m, are integers, so are q F and q P,
+    and r < G.
+
+    From tail_start(k) on the term ratio is at most 4p(1-p) < 1, so the
+    tail bound, t_n times a constant, never increases there.  A stopping
+    rule that fails at term n+m (n+m >= tail_start(k)) has therefore failed
+    at every term from tail_start(k) to n+m, which is why absorption_series
+    tests it at the ends of its jumps only.
     """
     ab, bb = a * (b - a), b * b
-    num, total, scale = (b - a) ** k, 0, b**k
-    for n in count():
-        total = total * bb + num
-        yield num, total, scale
-        num = num * (ab * ((2 * n + k) * (2 * n + k + 1))) // ((n + 1) * (n + k + 1))
-        scale *= bb
+    big_f, big_g, big_p = 1, 1, 0
+    for j in range(n, n + m):
+        g = (j + 1) * (j + k + 1)
+        big_f *= ab * ((2 * j + k) * (2 * j + k + 1))
+        big_p = big_p * (bb * g) + big_f
+        big_g *= g
+    q, r = divmod(num, big_g)
+    bbm = bb**m
+    return (q * big_f + r * big_f // big_g,
+            total * bbm + q * big_p + r * big_p // big_g,
+            scale * bbm)
 
 
 def series_terms(
@@ -146,13 +170,14 @@ def series_terms(
 
     Terms follow the exact ratio
     t_{n+1}/t_n = p(1-p) (2n+k)(2n+k+1) / ((n+1)(n+k+1)), in the same
-    arithmetic as p: a Fraction p = a/b runs the integer kernel over b^(2n+k)
-    that absorption_series reads, partial sum included, and each row is a
-    Fraction view of it; a float p runs the ratio in floats.  The bound
-    t_n r/(1-r), r = 4p(1-p), holds only from tail_start(k) on, so it is
-    None before that; at r = 1 (p = 1/2, where terms decay like n^(-3/2))
-    there is none, so it is None throughout.  A float p takes k < 2**511,
-    so that the integer factor (2n+k)(2n+k+1) converts to a float.
+    arithmetic as p: a Fraction p = a/b steps the integers over b^(2n+k)
+    that absorption_series jumps through, partial sum included, one term at
+    a time, and each row is a Fraction view of them; a float p runs the
+    ratio in floats.  The bound t_n r/(1-r), r = 4p(1-p), holds only from
+    tail_start(k) on, so it is None before that; at r = 1 (p = 1/2, where
+    terms decay like n^(-3/2)) there is none, so it is None throughout.  A
+    float p takes k < 2**511, so that the integer factor (2n+k)(2n+k+1)
+    converts to a float.
     """
     check_int(k, "k", 1)
     p = check_probability(p)
@@ -162,11 +187,16 @@ def series_terms(
         # r/(1-r) = 4a(b-a) / (b-2a)^2
         lead, gap = 4 * a * (b - a), (b - 2 * a) ** 2
         n0 = tail_start(k) if gap else math.inf
-        return (
-            (Fraction(num, scale), Fraction(total, scale),
-             Fraction(num * lead, scale * gap) if n >= n0 else None)
-            for n, (num, total, scale) in enumerate(_exact_terms(k, a, b))
-        )
+
+        def rows() -> Iterator[tuple[Fraction, Fraction, Fraction | None]]:
+            num = (b - a) ** k
+            total, scale = num, b**k
+            for n in count():
+                yield (Fraction(num, scale), Fraction(total, scale),
+                       Fraction(num * lead, scale * gap) if n >= n0 else None)
+                num, total, scale = _advance(k, a, b, n, 1, num, total, scale)
+
+        return rows()
     q = 1 - p
     pq = p * q
     ratio = 4 * pq
@@ -198,12 +228,17 @@ def absorption_series(
     reported as a certified lower bound with converged = False and an
     infinite tail_bound.
 
-    A Fraction p = a/b reads the integer kernel that series_terms views as
-    Fractions: its partial sum stays an integer over b^(2n+k), and the
-    stopping rule compares integers too, so the one normalisation of the
-    call builds partial_sum and tail_bound at the end.  That rule compares
-    bit lengths first and multiplies only near the crossing, so its outcome
-    is that of the exact comparison alone.  A float p reads the float rows
+    A Fraction p = a/b runs the integers that series_terms views as
+    Fractions, 16 terms per multi-digit division (see _advance): the
+    partial sum stays an integer over b^(2n+k), and the stopping rule
+    compares integers too, so the one normalisation of the call builds
+    partial_sum and tail_bound at the end.  That rule compares bit lengths
+    first and multiplies only near the crossing, so its outcome is that of
+    the exact comparison alone.  It is tested at the end of each 16-term
+    jump; since the bound never increases from tail_start(k) on, the first
+    jump end that certifies holds the first term that does, and that jump
+    is replayed one term at a time to find it.  The last jump is cut short
+    to end at term max_terms - 1.  A float p reads the float rows
     of series_terms, so it takes k < 2**511, and its certificate holds only
     up to rounding (see SeriesEvaluation).
     """
@@ -229,12 +264,27 @@ def absorption_series(
     # bl(xy) >= bl(x) + bl(y) - 1 for x, y > 0, so more bits prove num lhs > rhs scale
     # unmultiplied; num = 0 only where lhs = 0, and there t_n <= 1 (num <= scale) skips none.
     lhs_bits, rhs_bits = lhs.bit_length() - 1, rhs.bit_length()
-    for n, (num, total, scale) in zip(range(max_terms), _exact_terms(k, a, b)):
-        if (n >= n0 and num.bit_length() + lhs_bits <= scale.bit_length() + rhs_bits
-                and num * lhs <= rhs * scale):
-            return SeriesEvaluation(
-                Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True
-            )
+
+    def certifies(n: int, num: int, scale: int) -> bool:
+        return (n >= n0 and num.bit_length() + lhs_bits <= scale.bit_length() + rhs_bits
+                and num * lhs <= rhs * scale)
+
+    n, num = 0, (b - a) ** k
+    total, scale = num, b**k
+    converged, batch = certifies(0, num, scale), _BATCH
+    while not converged and n < max_terms - 1:
+        m = min(batch, max_terms - 1 - n)
+        after = _advance(k, a, b, n, m, num, total, scale)
+        converged = certifies(n + m, after[0], after[2])
+        if converged and m > 1:
+            # The first term that certifies lies in n+1 .. n+m: replay them.
+            converged, batch = False, 1
+        else:
+            n, (num, total, scale) = n + m, after
+    if converged:
+        return SeriesEvaluation(
+            Fraction(total, scale), n + 1, Fraction(num * lead, scale * gap), True
+        )
     return SeriesEvaluation(Fraction(total, scale), max_terms, math.inf, False)
 
 

@@ -15,7 +15,7 @@ from ruinpaths import (
     tail_start,
     verify_three_term,
 )
-from ruinpaths.probability import series_terms
+from ruinpaths.probability import _advance, series_terms
 
 RATIONAL_GRID = [
     Fraction(1, 10),
@@ -458,11 +458,49 @@ def reference_series(k, p, target_tail, max_terms):
 # The float just above the first bound 16/3 at 1/3: both products have the same
 # bit length, one short of the sum of their factors', and the run stops at n = 0.
 @example(1, Fraction(1, 3), 5.333333333333334, 5)
+# 16-term jump edges: the rule is tested at n = 16, 32, ... and the jump whose
+# end certifies is replayed term by term.  Targets equal to the bound at
+# n = 16 and 32 certify at the last term of a jump, at n = 17 and 33 at the
+# first; budgets of 16, 17 and 33 cut a jump short or end one at the budget.
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 16), 500)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 17), 500)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 32), 500)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 33), 500)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 16), 17)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 17), 17)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 32), 33)
+@example(1, Fraction(2, 5), reference_bound(1, Fraction(2, 5), 33), 33)
+@example(1, Fraction(1, 2), 1e-12, 16)
+@example(2, Fraction(47, 100), 1e-12, 17)
+@example(6, Fraction(3, 5), 1e-12, 33)
 def test_exact_series_equals_term_by_term_fraction_sum(k, p, target_tail, max_terms):
     result = absorption_series(k, p, target_tail, max_terms=max_terms)
     assert isinstance(result.partial_sum, Fraction)
     assert (result.partial_sum, result.terms_used, result.tail_bound, result.converged) \
         == reference_series(k, p, target_tail, max_terms)
+
+
+def exact_state(k, a, b, n):
+    """Term n's integers (num_n, S_n, b^(2n+k)) at p = a/b, each num_i
+    C_k(i) a^i (b-a)^(i+k) built from math.comb."""
+    nums = [k * math.comb(2 * i + k, i) // (2 * i + k) * a**i * (b - a) ** (i + k)
+            for i in range(n + 1)]
+    return nums[n], sum(x * b ** (2 * (n - i)) for i, x in enumerate(nums)), b ** (2 * n + k)
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    rational_p_closed_interval(),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=1, max_value=40),
+)
+def test_one_jump_equals_single_steps(k, p, n, m):
+    a, b = p.numerator, p.denominator
+    state = exact_state(k, a, b, n)
+    stepped = state
+    for j in range(n, n + m):
+        stepped = _advance(k, a, b, j, 1, *stepped)
+    assert _advance(k, a, b, n, m, *state) == stepped == exact_state(k, a, b, n + m)
 
 
 # absorption_series on the acceptance-criterion-8 grid (target 10^-12), as

@@ -37,6 +37,14 @@ compiles all of src/ruinpaths again: about 1,750 lines, which compile()
 turns into code in 10-14 ms on a 2-CPU host, over half of it for cli.py.
 Start-up numbers from records that differ on this setting cannot be
 compared.
+
+Before any run, it refuses a --tree or --parent-tree that holds a
+src/**/__pycache__ directory, and exits naming it: Python loads a valid .pyc
+even under PYTHONDONTWRITEBYTECODE, so a checkout with stale bytecode and a
+fresh `git archive` of the parent would not import the same way.  Remove the
+directory, or benchmark a fresh copy of the tree.  Without
+PYTHONDONTWRITEBYTECODE=1 the runs themselves write such directories, so a
+second record from the same trees is refused.
 """
 
 from __future__ import annotations
@@ -146,6 +154,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    for tree in (args.parent_tree, args.tree):
+        caches = sorted(tree.resolve().glob("src/**/__pycache__"))
+        if caches:
+            raise SystemExit(f"{caches[0]} holds compiled bytecode; remove it before benchmarking")
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     key = args.workload + (".traced" if args.trace else "")
     bench.setdefault("pairs", {})[key] = record_pairs(
