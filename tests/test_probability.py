@@ -480,11 +480,11 @@ def test_exact_series_equals_term_by_term_fraction_sum(k, p, target_tail, max_te
         == reference_series(k, p, target_tail, max_terms)
 
 
-def exact_state(k, a, b, n):
-    """Term n's integers (num_n, S_n, b^(2n+k)) at p = a/b, each num_i
-    C_k(i) a^i (b-a)^(i+k) built from math.comb."""
-    nums = [k * math.comb(2 * i + k, i) // (2 * i + k) * a**i * (b - a) ** (i + k)
-            for i in range(n + 1)]
+def exact_state(k, p, n):
+    """Term n's integers (num_n, S_n, b^(2n+k)) at p = a/b, each num_i the
+    reference_term times b^(2i+k)."""
+    b = p.denominator
+    nums = [int(reference_term(k, p, i) * b ** (2 * i + k)) for i in range(n + 1)]
     return nums[n], sum(x * b ** (2 * (n - i)) for i, x in enumerate(nums)), b ** (2 * n + k)
 
 
@@ -496,11 +496,11 @@ def exact_state(k, a, b, n):
 )
 def test_one_jump_equals_single_steps(k, p, n, m):
     a, b = p.numerator, p.denominator
-    state = exact_state(k, a, b, n)
+    state = exact_state(k, p, n)
     stepped = state
     for j in range(n, n + m):
         stepped = _advance(k, a, b, j, 1, *stepped)
-    assert _advance(k, a, b, n, m, *state) == stepped == exact_state(k, a, b, n + m)
+    assert _advance(k, a, b, n, m, *state) == stepped == exact_state(k, p, n + m)
 
 
 # absorption_series on the acceptance-criterion-8 grid (target 10^-12), as
